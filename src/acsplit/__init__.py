@@ -1,10 +1,12 @@
 """Pseudo-spectral Strang-splitting solvers for vector- and matrix-valued
 Allen-Cahn flows on the periodic torus [-pi, pi]^d, d <= 3.
 
-Both models split each step into a half heat step, an exactly solvable
-nonlinear flow, and another half heat step.  The package also carries the
-monitoring machinery (maximum-principle and modified-energy diagnostics), an
-RK4 cross-check oracle, and an experiment harness with a CLI.
+Both models are one tensorial model on m x q matrix fields (q = 1 for
+vectors, q = m for matrices) and split each step into a half heat step, an
+exactly solvable nonlinear flow, and another half heat step.  The package
+also carries the monitoring machinery (maximum-principle and modified-energy
+diagnostics), an RK4 cross-check oracle, and an experiment harness with a
+CLI.
 """
 
 # Thread-count override: honored only if this runs before numpy is first
@@ -34,11 +36,11 @@ from .grid import (
     inverse_transform,
 )
 from .oracle import OracleConfig, integrate_matrix_ode, integrate_vector_ode
+from .tensor import g_scalar
 from .vector import (
     concavity_inequality_check_vec,
     g_gradient_vec,
     g_potential_vec,
-    g_scalar,
     modified_energy_vec,
     nonlinear_propagate_vec,
     random_direction_ic,

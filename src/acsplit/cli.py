@@ -6,9 +6,10 @@ Subcommands:
     verify [scope]      fixed-seed property checks (vector / matrix / all)
     info <snapshot>     print a snapshot's header and field statistics
 
-Exit codes: 0 success, 1 invalid configuration, 2 invariant or check failure,
-3 I/O failure.  Set ACSPLIT_NUM_THREADS to cap the BLAS/FFT thread pools
-(honored if acsplit is imported before numpy, which the CLI guarantees).
+Exit codes: 0 success, 1 invalid configuration or command line, 2 invariant
+or check failure, 3 I/O failure.  Set ACSPLIT_NUM_THREADS to cap the BLAS/FFT
+thread pools (honored if acsplit is imported before numpy, which the CLI
+guarantees).
 """
 
 from __future__ import annotations
@@ -113,7 +114,11 @@ def _cmd_info(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, which would read as EXIT_INVARIANT
+        return EXIT_OK if e.code == 0 else EXIT_CONFIG
     from . import harness
 
     try:

@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import matrix as mat
+from . import tensor
 from . import vector as vec
 from .grid import (
     TorusGrid,
@@ -76,6 +77,9 @@ DISSIPATION_REL_TOL = 1e-10
 SNAPSHOT_MAGIC = "ACSPLIT-SNAPSHOT"
 SNAPSHOT_VERSION = 1
 TRACE_HEADER = "step,time,energy_standard,energy_modified,delta_e,sup_norm,dissipation_ok"
+
+# number of component axes after the d spatial axes of each model's fields
+COMPONENT_AXES = {"vector": 1, "matrix": 2}
 
 
 class ConfigError(ValueError):
@@ -121,12 +125,17 @@ class RunConfig:
             raise ConfigError(f"n must be even and >= 4, got {self.n}")
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key, value in self.ic_params.items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"ic parameter {key} must be finite and >= 0, got {value}")
         if self.threshold_policy not in ("enforce", "warn", "ignore"):
             raise ConfigError(
                 f"threshold_policy must be enforce/warn/ignore, got {self.threshold_policy!r}"
@@ -150,11 +159,15 @@ class RunConfig:
 
 
 def _parse_number(s: str) -> float:
-    """Float parser that also accepts fraction syntax like 1/3200."""
+    """Parser for finite floats that also accepts fraction syntax like 1/3200."""
     s = s.strip()
-    if "/" in s:
-        return float(Fraction(s))
-    return float(s)
+    try:
+        value = float(Fraction(s)) if "/" in s else float(s)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad number {s!r}") from e
+    if not math.isfinite(value):
+        raise ConfigError(f"bad number {s!r}: not finite")
+    return value
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -194,7 +207,7 @@ def _parse_ic(text: str) -> tuple[str, dict]:
             k, v = item.split("=", 1)
             try:
                 num = _parse_number(v)
-            except ValueError as e:
+            except ConfigError as e:
                 raise ConfigError(f"bad ic parameter value {v!r} in {text!r}") from e
             params[k.strip()] = int(num) if num == int(num) and "." not in v and "/" not in v else num
     return name.strip(), params
@@ -237,13 +250,20 @@ def load_config(path: str | os.PathLike) -> RunConfig:
 # initial conditions
 
 # registry entries take (grid, m, seed, **params)
+def _shared_ics(axes: int, default_sup: Callable[[int], float]) -> dict[str, Callable]:
+    """The entries both models have, on fields with `axes` component axes of size m."""
+    return {
+        "zero": lambda grid, m, seed: np.zeros(grid.shape + (m,) * axes),
+        "smooth": lambda grid, m, seed, sup=None, kcut=4: tensor.smooth_random_ic(
+            grid, (m,) * axes, default_sup(m) if sup is None else sup, seed, int(kcut)
+        ),
+    }
+
+
 VECTOR_ICS: dict[str, Callable] = {
-    "zero": lambda grid, m, seed: np.zeros(grid.shape + (m,)),
+    **_shared_ics(COMPONENT_AXES["vector"], lambda m: 0.8),
     "random_direction": lambda grid, m, seed, magnitude=0.8: vec.random_direction_ic(
         grid, m, magnitude, seed
-    ),
-    "smooth": lambda grid, m, seed, sup=0.8, kcut=4: vec.smooth_random_ic(
-        grid, m, sup, seed, int(kcut)
     ),
     "smooth_deterministic": lambda grid, m, seed, magnitude=0.8: vec.smooth_deterministic_ic(
         grid, m, magnitude
@@ -251,15 +271,12 @@ VECTOR_ICS: dict[str, Callable] = {
 }
 
 MATRIX_ICS: dict[str, Callable] = {
-    "zero": lambda grid, m, seed: np.zeros(grid.shape + (m, m)),
+    **_shared_ics(COMPONENT_AXES["matrix"], math.sqrt),
     "identity": lambda grid, m, seed: np.broadcast_to(
         np.eye(m), grid.shape + (m, m)
     ).copy(),
     "polar_star": lambda grid, m, seed: _require_m2(grid, m, "star"),
     "polar_stripe": lambda grid, m, seed: _require_m2(grid, m, "stripe"),
-    "smooth": lambda grid, m, seed, sup=None, kcut=4: mat.smooth_random_mat_ic(
-        grid, m, math.sqrt(m) if sup is None else sup, seed, int(kcut)
-    ),
     "split_noise": lambda grid, m, seed, lo=0.05, hi=300.0: mat.split_amplitude_mat_ic(
         grid, m, lo, hi, seed
     ),
@@ -357,13 +374,11 @@ def write_snapshot(
 ) -> None:
     """Write a field snapshot: ASCII header, then little-endian float64 with
     component/entry axes slowest-varying."""
-    values = np.asarray(values, dtype=np.float64)
-    if model == "vector":
-        disk = np.moveaxis(values, -1, 0)
-    elif model == "matrix":
-        disk = np.moveaxis(values, (-2, -1), (0, 1))
-    else:
+    if model not in COMPONENT_AXES:
         raise ValueError(f"unknown model {model!r}")
+    values = np.asarray(values, dtype=np.float64)
+    components = range(grid.d, values.ndim)
+    disk = np.moveaxis(values, components, range(len(components)))
     header = (
         f"{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n"
         f"model={model}\n"
@@ -379,13 +394,18 @@ def write_snapshot(
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(disk, dtype="<f8").tobytes())
+        # the buffer itself, not a bytes copy of it: one copy of the field at most
+        fh.write(np.ascontiguousarray(disk, dtype="<f8").data)
 
 
 def _read_snapshot_header(fh) -> dict:
     first = fh.readline().decode("ascii", errors="replace").rstrip("\n")
     if not first.startswith(SNAPSHOT_MAGIC):
         raise SnapshotFormatError(f"not a snapshot file (magic line {first!r})")
+    if first != f"{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}":
+        raise SnapshotFormatError(
+            f"unsupported snapshot version {first!r}; expected v{SNAPSHOT_VERSION}"
+        )
     version = first.split("v")[-1]
     meta: dict = {"version": version}
     while True:
@@ -417,12 +437,10 @@ def read_snapshot(path: str | os.PathLike) -> tuple[dict, np.ndarray]:
     with open(path, "rb") as fh:
         meta = _read_snapshot_header(fh)
         d, n, m = meta["d"], meta["n"], meta["m"]
-        if meta["model"] == "vector":
-            disk_shape = (m,) + (n,) * d
-        elif meta["model"] == "matrix":
-            disk_shape = (m, m) + (n,) * d
-        else:
+        if meta["model"] not in COMPONENT_AXES:
             raise SnapshotFormatError(f"unknown model {meta['model']!r}")
+        k = COMPONENT_AXES[meta["model"]]
+        disk_shape = (m,) * k + (n,) * d
         count = int(np.prod(disk_shape))
         raw = fh.read(count * 8)
         if len(raw) != count * 8:
@@ -432,25 +450,18 @@ def read_snapshot(path: str | os.PathLike) -> tuple[dict, np.ndarray]:
         if fh.read(1):
             raise SnapshotFormatError("trailing bytes after snapshot payload")
     disk = np.frombuffer(raw, dtype="<f8").reshape(disk_shape).astype(np.float64)
-    if meta["model"] == "vector":
-        values = np.moveaxis(disk, 0, -1)
-    else:
-        values = np.moveaxis(disk, (0, 1), (-2, -1))
-    return meta, np.ascontiguousarray(values)
+    return meta, np.ascontiguousarray(np.moveaxis(disk, range(k), range(d, d + k)))
 
 
 def snapshot_info(path: str | os.PathLike) -> dict:
     """Header plus basic field statistics, for `acsplit info`."""
     meta, values = read_snapshot(path)
-    sup = (
-        vec.sup_magnitude(values)
-        if meta["model"] == "vector"
-        else mat.sup_frobenius(values)
-    )
     meta = dict(meta)
     meta["min_entry"] = float(values.min())
     meta["max_entry"] = float(values.max())
-    meta["sup_norm"] = sup
+    # the pointwise Frobenius norm, with the component axes read as m x q matrices
+    fields = values.reshape(values.shape[: meta["d"]] + (meta["m"], -1))
+    meta["sup_norm"] = tensor.sup_norm(fields)
     return meta
 
 
@@ -486,7 +497,7 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
     """
     grid = TorusGrid(cfg.d, cfg.n)
     u = build_initial(cfg, grid) if initial is None else np.asarray(initial, dtype=np.float64)
-    expected = grid.shape + ((cfg.m,) if cfg.model == "vector" else (cfg.m, cfg.m))
+    expected = grid.shape + (cfg.m,) * COMPONENT_AXES[cfg.model]
     if u.shape != expected:
         raise ConfigError(f"initial field shape {u.shape} != expected {expected}")
 
@@ -986,23 +997,22 @@ def _check_mat_taylor():
 
 
 def _check_mat_svd_reconstruction():
+    # A = (A V) V^T through the Gram eigenvectors V that the flow uses, where
+    # A V = U diag(sigma) is the scaled left factor of the SVD
     rng = np.random.Generator(np.random.Philox(48))
     a = rng.standard_normal((2000, 3, 3)) * 3.0
-    u, s, vt = np.linalg.svd(a)
-    rec = (u * s[..., None, :]) @ vt
+    rec = tensor._gram_function(a, np.ones_like)
     fro = np.sqrt(np.sum(a * a, axis=(-2, -1)))
     res = np.sqrt(np.sum((rec - a) ** 2, axis=(-2, -1))) / (1.0 + fro)
     worst = float(np.max(res))
-    return worst <= 1e-12, f"worst SVD reconstruction residual {worst:.2e}"
+    return worst <= 1e-12, f"worst reconstruction residual through A^T A {worst:.2e}"
 
 
 def _check_mat_projection():
     grid = TorusGrid(2, 16)
     u = mat.polar_ic(grid, "star")
     out = mat.projection_split_step(grid, u, 0.05)
-    swap = tuple(range(out.ndim - 2)) + (out.ndim - 1, out.ndim - 2)
-    gram = out.transpose(swap) @ out
-    gram[..., range(2), range(2)] -= 1.0
+    gram = tensor._gram(out) - np.eye(2)
     worst = float(np.max(np.sqrt(np.sum(gram * gram, axis=(-2, -1)))))
     return worst <= 1e-10, f"max ||U^T U - I||_F after projection step {worst:.2e}"
 

@@ -1,25 +1,18 @@
 """Matrix-valued Allen-Cahn model  dU/dt = Lap(U) + U - U U^T U  on m x m fields.
 
-The splitting step mirrors the vector model: half heat step entry-wise, exact
-nonlinear flow pointwise, half heat step.  The nonlinear flow
+A matrix field, shape grid.shape + (m, m), is the tensorial model of
+acsplit.tensor with q = m columns.  The pointwise flow
 
-    S_N(t) A = ((e^{2t} - 1) A A^T + I)^{-1/2} e^t A
+    S_N(t) A = ((e^{2t} - 1) A A^T + I)^{-1/2} e^t A = e^t A ((e^{2t} - 1) A^T A + I)^{-1/2}
 
-is applied through the singular value decomposition A = U diag(sigma) V^T as
-the singular-value map
-
-    sigma -> e^t sigma / sqrt((e^{2t} - 1) sigma^2 + 1),
-
-exact because the inverse square root shares A's left singular vectors; the
-matrix inverse square root is never formed.  Orthogonal matrices (all
-sigma = 1) are fixed points; the Frobenius ball of radius sqrt(m) is forward
-invariant.
-
-The modified energy uses the trace potential sum_i G(sigma_i^2) with the same
-scalar G as the vector model; it is nonincreasing along the splitting when
-m e^tau (e^{2 tau} - 1) <= 0.43 (a sufficient bound, not claimed necessary).
-
-A matrix field is a numpy array of shape grid.shape + (m, m).
+is applied through the eigendecomposition of the Gram matrix A^T A, so it
+maps each singular value sigma -> e^t sigma / sqrt((e^{2t} - 1) sigma^2 + 1)
+and keeps the singular vectors; no singular value decomposition and no
+matrix square root is formed.  Orthogonal matrices are fixed points; the
+Frobenius ball of radius sqrt(m) is forward invariant.  The modified energy,
+with the trace potential sum_i G(sigma_i^2), is nonincreasing along the
+splitting when m e^tau (e^{2 tau} - 1) <= 0.43 (sufficient, not claimed
+necessary).
 """
 
 from __future__ import annotations
@@ -28,14 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (
-    TorusGrid,
-    dirichlet_energy,
-    dissipation_quadratic,
-    forward_transform,
-    heat_propagate,
-)
-from .vector import INEQUALITY_SLACK, g_scalar
+from . import tensor
+from .grid import TorusGrid, heat_propagate
+from .tensor import INEQUALITY_SLACK
 
 __all__ = [
     "DISSIPATION_THRESHOLD",
@@ -71,69 +59,27 @@ def _tr_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def nonlinear_propagate_mat(a: np.ndarray, t: float) -> np.ndarray:
-    """Exact flow of U' = U - U U^T U via the singular-value map.
-
-    Trailing two axes are the matrix; leading axes are batch/space.  Singular
-    vectors (hence rank) are preserved; repeated or zero singular values need
-    no special casing since the map acts on values only.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    a = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite matrix entries")
-    if t == 0:
-        return a.copy()  # skip the SVD round-trip's last-ulp noise
-    u, s, vt = np.linalg.svd(a)
-    f = np.exp(t) * s / np.sqrt(np.expm1(2.0 * t) * s**2 + 1.0)
-    return (u * f[..., None, :]) @ vt
+    """Exact flow of U' = U - U U^T U; see tensor.nonlinear_propagate."""
+    return tensor.nonlinear_propagate(a, t)
 
 
 def strang_step_mat(
     grid: TorusGrid, u: np.ndarray, tau: float, with_intermediate: bool = False
 ):
-    """One splitting step S_L(tau/2) S_N(tau) S_L(tau/2) of the matrix model.
-
-    Heat acts entry-wise; the nonlinear flow acts pointwise.  Returns the new
-    field, or (new field, U_tilde) when `with_intermediate` is set.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    u_tilde = heat_propagate(grid, u, 0.5 * tau)
-    u_next = heat_propagate(grid, nonlinear_propagate_mat(u_tilde, tau), 0.5 * tau)
-    if with_intermediate:
-        return u_next, u_tilde
-    return u_next
+    """One splitting step of the matrix model; see tensor.strang_step."""
+    return tensor.strang_step(grid, u, tau, nonlinear_propagate_mat, with_intermediate)
 
 
 def strang_evolve_mat(
     grid: TorusGrid, u: np.ndarray, tau: float, steps: int
 ) -> np.ndarray:
-    """`steps` splitting steps with interior half heat steps fused; see
-    strang_evolve_vec."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if steps == 0:
-        return np.array(u, copy=True)
-    u = heat_propagate(grid, u, 0.5 * tau)
-    for n in range(steps):
-        u = nonlinear_propagate_mat(u, tau)
-        u = heat_propagate(grid, u, tau if n < steps - 1 else 0.5 * tau)
-    return u
+    """`steps` fused splitting steps of the matrix model; see tensor.strang_evolve."""
+    return tensor.strang_evolve(grid, u, tau, steps, nonlinear_propagate_mat)
 
 
 def g_potential_mat(a: np.ndarray, tau: float) -> np.ndarray:
-    """Trace potential sum_i G(lambda_i), lambda_i = sigma_i(A)^2.
-
-    Equals the trace against the identity of the matrix potential
-    (1/(2 tau)) U U^T - (e^tau/(tau (e^{2 tau}-1))) ((I + (e^{2 tau}-1) U U^T)^{1/2} - I).
-    Invariant under A -> Q A R for orthogonal Q, R.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    s = np.linalg.svd(a, compute_uv=False)
-    return np.sum(g_scalar(s**2, tau), axis=-1)
+    """Trace potential sum_i G(sigma_i(A)^2); see tensor.potential."""
+    return tensor.potential(a, tau)
 
 
 def g_trace_derivative(u0: np.ndarray, h: np.ndarray, tau: float) -> np.ndarray:
@@ -142,58 +88,25 @@ def g_trace_derivative(u0: np.ndarray, h: np.ndarray, tau: float) -> np.ndarray:
     h'(0) = (1/tau) Tr(U0 H^T)
             - (e^tau/tau) Tr((I + (e^{2 tau}-1) U0 U0^T)^{-1/2} U0 H^T),
 
-    with the inverse square root applied through U0's singular values.
+    the Frobenius product of H with the potential's gradient at U0.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    u0 = np.asarray(u0, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    u, s, vt = np.linalg.svd(u0)
-    f = s / np.sqrt(1.0 + np.expm1(2.0 * tau) * s**2)
-    smoothed = (u * f[..., None, :]) @ vt
-    return (_tr_prod(u0, h) - np.exp(tau) * _tr_prod(smoothed, h)) / tau
+    return _tr_prod(tensor.gradient(u0, tau), np.asarray(h, dtype=np.float64))
 
 
 def modified_energy_mat(grid: TorusGrid, u: np.ndarray, tau: float) -> float:
-    """Modified energy of the matrix model at U_tilde = S_L(tau/2) U, given the
-    PRE-half-step field U.
-
-    Quadratic part: stabilized multiplier form summed over all m^2 entries,
-    divided by 2 tau (see modified_energy_vec).  Potential part: the trace
-    potential at U_tilde.  Includes the additive constant (m/4) (2 pi)^d that
-    aligns it with the standard energy as tau -> 0.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    m = u.shape[-1]
-    coeffs = forward_transform(grid, u)
-    quad = dissipation_quadratic(grid, coeffs, tau) / (2.0 * tau)
-    u_tilde = heat_propagate(grid, u, 0.5 * tau)
-    pot = grid.cell_volume * float(np.sum(g_potential_mat(u_tilde, tau)))
-    return quad + pot + 0.25 * m * grid.volume
+    """Modified energy at U_tilde = S_L(tau/2) U, for the PRE-half-step U,
+    with the additive constant (m/4) (2 pi)^d; see tensor.modified_energy."""
+    return tensor.modified_energy(grid, u, tau, g_potential_mat)
 
 
 def standard_energy_mat(grid: TorusGrid, u: np.ndarray) -> float:
-    """Standard energy E(U) = int (1/2)||grad U||_F^2 + (1/4)||U^T U - I||_F^2 dx.
-
-    The potential part is computed spectrally-free, entrywise from U^T U - I;
-    it equals (1/4) sum_i (lambda_i - 1)^2 with lambda_i the eigenvalues of
-    U^T U.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    m = u.shape[-1]
-    coeffs = forward_transform(grid, u)
-    swap = tuple(range(u.ndim - 2)) + (u.ndim - 1, u.ndim - 2)
-    gram = u.transpose(swap) @ u
-    gram[..., range(m), range(m)] -= 1.0
-    pot = 0.25 * grid.cell_volume * float(np.sum(gram * gram))
-    return dirichlet_energy(grid, coeffs) + pot
+    """Standard energy E(U) = int (1/2)||grad U||_F^2 + (1/4)||U^T U - I||_F^2 dx."""
+    return tensor.standard_energy(grid, u)
 
 
 def sup_frobenius(u: np.ndarray) -> float:
     """Max over nodes of the pointwise Frobenius norm ||U(x)||_F."""
-    u = np.asarray(u)
-    return float(np.sqrt(np.max(np.sum(u * u, axis=(-2, -1)))))
+    return tensor.sup_norm(u)
 
 
 def threshold_check(tau: float, m: int) -> ThresholdResult:
@@ -301,20 +214,8 @@ def polar_ic(grid: TorusGrid, variant: str) -> np.ndarray:
 def smooth_random_mat_ic(
     grid: TorusGrid, m: int, sup_target: float, seed: int, kcut: int = 4
 ) -> np.ndarray:
-    """Seeded band-limited random matrix field scaled so the sup of the
-    pointwise Frobenius norm equals sup_target (cf. smooth_random_ic)."""
-    if sup_target < 0:
-        raise ValueError("sup_target must be >= 0")
-    rng = np.random.Generator(np.random.Philox(seed))
-    raw = rng.standard_normal(grid.shape + (m, m))
-    coeffs = np.fft.fftn(raw, axes=grid.spatial_axes)
-    keep = grid.wavenumbers_squared <= kcut**2
-    coeffs *= keep.reshape(keep.shape + (1, 1))
-    u = np.fft.ifftn(coeffs, axes=grid.spatial_axes).real
-    sup = sup_frobenius(u)
-    if sup == 0:
-        return u
-    return u * (sup_target / sup)
+    """Seeded band-limited random matrix field; see tensor.smooth_random_ic."""
+    return tensor.smooth_random_ic(grid, (m, m), sup_target, seed, kcut)
 
 
 def split_amplitude_mat_ic(

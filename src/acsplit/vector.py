@@ -1,39 +1,23 @@
 """Vector-valued Allen-Cahn model  du/dt = Lap(u) + u - |u|^2 u.
 
-Time stepping is the symmetric splitting
+A vector field, shape grid.shape + (m,), is the tensorial model of
+acsplit.tensor on m x 1 matrices: for U = u, U U^T U = |u|^2 u and the Gram
+matrix U^T U is |u|^2.  The functions here pass u[..., None] to acsplit.tensor
+and drop the axis on return.  The pointwise flow is
 
-    u^{n+1} = S_L(tau/2) S_N(tau) S_L(tau/2) u^n,
+    S_N(t) w = e^t w / sqrt((e^{2t} - 1) |w|^2 + 1),
 
-where S_L is the heat semigroup (grid.heat_propagate) and S_N is the exact
-flow of the pointwise ODE u' = (1 - |u|^2) u,
-
-    S_N(t) w = e^t w / sqrt((e^{2t} - 1) |w|^2 + 1).
-
-Along this scheme the tau-dependent energy
-
-    Etil(u) = int (1/(2 tau)) <(e^{-tau Lap} - 1) u~, u~> + G(u~) dx,
-    u~ = S_L(tau/2) u,
-
-is nonincreasing for every tau > 0, with the potential
-
-    G(lam) = lam/(2 tau) - e^tau/(tau (e^{2 tau} - 1)) (sqrt(1 + (e^{2 tau} - 1) lam) - 1),
-
-evaluated at lam = |u|^2.  As tau -> 0, G + 1/4 -> (lam - 1)^2 / 4.
-
-A vector field is a numpy array of shape grid.shape + (m,).
+and the modified energy, with the potential G = tensor.g_scalar evaluated at
+lam = |u|^2, is nonincreasing along the splitting for every tau > 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import (
-    TorusGrid,
-    dirichlet_energy,
-    dissipation_quadratic,
-    forward_transform,
-    heat_propagate,
-)
+from . import tensor
+from .grid import TorusGrid, heat_propagate  # noqa: F401  (still importable from here)
+from .tensor import INEQUALITY_SLACK, g_scalar  # noqa: F401  (still importable from here)
 
 __all__ = [
     "nonlinear_propagate_vec",
@@ -49,135 +33,51 @@ __all__ = [
     "smooth_deterministic_ic",
 ]
 
-# slack floor for the concavity inequality check
-INEQUALITY_SLACK = 1e-10
-
-
-def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
-    """Potential G as a function of lam = |w|^2 (or a squared singular value).
-
-    Algebraically equal to
-
-        lam/(2 tau) - e^tau/(tau (e^{2 tau} - 1)) (sqrt(1 + (e^{2 tau} - 1) lam) - 1)
-
-    but evaluated in the factored form
-
-        (lam/tau) (1/2 - e^tau / (1 + sqrt(1 + expm1(2 tau) lam)))
-
-    which has no subtractive cancellation for small tau or small lam.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    lam = np.asarray(lam, dtype=np.float64)
-    root = np.sqrt(1.0 + np.expm1(2.0 * tau) * lam)
-    return (lam / tau) * (0.5 - np.exp(tau) / (1.0 + root))
-
 
 def nonlinear_propagate_vec(w: np.ndarray, t: float) -> np.ndarray:
-    """Exact flow of u' = (1 - |u|^2) u:  e^t w / sqrt((e^{2t}-1)|w|^2 + 1).
-
-    The last axis of `w` is the component axis; leading axes are batch/space.
-    Preserves direction; fixes the unit sphere; defined for every w, t >= 0.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("non-finite values in input field")
-    nsq = np.sum(w * w, axis=-1, keepdims=True)
-    return w * (np.exp(t) / np.sqrt(np.expm1(2.0 * t) * nsq + 1.0))
+    """Exact flow of u' = (1 - |u|^2) u on the last axis of `w`; it preserves
+    direction and fixes the unit sphere."""
+    return tensor.nonlinear_propagate(np.asarray(w)[..., None], t)[..., 0]
 
 
 def strang_step_vec(
     grid: TorusGrid, u: np.ndarray, tau: float, with_intermediate: bool = False
 ):
-    """One splitting step S_L(tau/2) S_N(tau) S_L(tau/2) of the vector model.
-
-    Returns the new field, or (new field, u_tilde) when `with_intermediate`
-    is set; u_tilde = S_L(tau/2) u is the state at which the modified energy
-    is defined.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    u_tilde = heat_propagate(grid, u, 0.5 * tau)
-    u_next = heat_propagate(grid, nonlinear_propagate_vec(u_tilde, tau), 0.5 * tau)
-    if with_intermediate:
-        return u_next, u_tilde
-    return u_next
+    """One splitting step of the vector model; see tensor.strang_step."""
+    return tensor.strang_step(grid, u, tau, nonlinear_propagate_vec, with_intermediate)
 
 
 def strang_evolve_vec(
     grid: TorusGrid, u: np.ndarray, tau: float, steps: int
 ) -> np.ndarray:
-    """`steps` splitting steps with interior half heat steps fused.
-
-    Mathematically identical to iterating strang_step_vec; the adjacent
-    half steps e^{(tau/2) Lap} e^{(tau/2) Lap} between nonlinear flows are
-    applied as one full heat step, halving the transform count.  Intended
-    for long energy-free runs (convergence studies).
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if steps == 0:
-        return np.array(u, copy=True)
-    u = heat_propagate(grid, u, 0.5 * tau)
-    for n in range(steps):
-        u = nonlinear_propagate_vec(u, tau)
-        u = heat_propagate(grid, u, tau if n < steps - 1 else 0.5 * tau)
-    return u
+    """`steps` fused splitting steps of the vector model; see tensor.strang_evolve."""
+    return tensor.strang_evolve(grid, u, tau, steps, nonlinear_propagate_vec)
 
 
 def g_potential_vec(w: np.ndarray, tau: float) -> np.ndarray:
-    """Potential G at a vector (or field of vectors); depends only on |w|^2."""
-    w = np.asarray(w, dtype=np.float64)
-    return g_scalar(np.sum(w * w, axis=-1), tau)
+    """Potential G(|w|^2) at a vector (or field of vectors)."""
+    return tensor.potential(np.asarray(w)[..., None], tau)
 
 
 def g_gradient_vec(w: np.ndarray, tau: float) -> np.ndarray:
-    """Analytic gradient of g_potential_vec:
-
-    grad G(w) = w/tau - e^tau w / (tau sqrt((e^{2 tau}-1)|w|^2 + 1))
-              = (w/tau) (1 - e^tau / sqrt(1 + expm1(2 tau) |w|^2)).
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    w = np.asarray(w, dtype=np.float64)
-    nsq = np.sum(w * w, axis=-1, keepdims=True)
-    return (w / tau) * (1.0 - np.exp(tau) / np.sqrt(1.0 + np.expm1(2.0 * tau) * nsq))
+    """Gradient (w/tau) (1 - e^tau / sqrt(1 + expm1(2 tau) |w|^2)) of g_potential_vec."""
+    return tensor.gradient(np.asarray(w)[..., None], tau)[..., 0]
 
 
 def modified_energy_vec(grid: TorusGrid, u: np.ndarray, tau: float) -> float:
-    """Modified energy Etil at u_tilde = S_L(tau/2) u, for the PRE-half-step u.
-
-    The quadratic part is evaluated through the stabilized identity
-    int <(e^{-tau Lap}-1) u~, u~> = (2 pi)^d sum_k (1 - e^{-tau |k|^2}) |u_hat_k|^2
-    on the coefficients of u itself, so the growing symbol e^{+tau|k|^2} never
-    appears.  Includes the additive constant (2 pi)^d / 4 that aligns Etil
-    with the standard energy as tau -> 0.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    coeffs = forward_transform(grid, u)
-    quad = dissipation_quadratic(grid, coeffs, tau) / (2.0 * tau)
-    u_tilde = heat_propagate(grid, u, 0.5 * tau)
-    pot = grid.cell_volume * float(np.sum(g_potential_vec(u_tilde, tau)))
-    return quad + pot + 0.25 * grid.volume
+    """Modified energy at u_tilde = S_L(tau/2) u, for the PRE-half-step u,
+    with the additive constant (2 pi)^d / 4; see tensor.modified_energy."""
+    return tensor.modified_energy(grid, np.asarray(u)[..., None], tau, tensor.potential)
 
 
 def standard_energy_vec(grid: TorusGrid, u: np.ndarray) -> float:
     """Standard energy E(u) = int (1/2)|grad u|^2 + (1/4)(|u|^2 - 1)^2 dx."""
-    coeffs = forward_transform(grid, u)
-    nsq = np.sum(u * u, axis=-1)
-    pot = 0.25 * grid.cell_volume * float(np.sum((nsq - 1.0) ** 2))
-    return dirichlet_energy(grid, coeffs) + pot
+    return tensor.standard_energy(grid, np.asarray(u)[..., None])
 
 
 def sup_magnitude(u: np.ndarray) -> float:
     """Max over nodes of the pointwise euclidean magnitude |u(x)|."""
-    u = np.asarray(u)
-    return float(np.sqrt(np.max(np.sum(u * u, axis=-1))))
+    return tensor.sup_norm(np.asarray(u)[..., None])
 
 
 def concavity_inequality_check_vec(u: np.ndarray, v: np.ndarray, tau: float) -> bool:
@@ -219,25 +119,8 @@ def random_direction_ic(
 def smooth_random_ic(
     grid: TorusGrid, m: int, sup_target: float, seed: int, kcut: int = 4
 ) -> np.ndarray:
-    """Seeded random field band-limited to |k|^2 <= kcut^2, scaled so the
-    sup of the pointwise magnitude equals sup_target.
-
-    Rough (white-noise) data makes the discrete heat kernel's small negative
-    lobes visible at small tau; band-limiting keeps stepwise sup-norm checks
-    meaningful on a finite grid.
-    """
-    if sup_target < 0:
-        raise ValueError("sup_target must be >= 0")
-    rng = np.random.Generator(np.random.Philox(seed))
-    raw = rng.standard_normal(grid.shape + (m,))
-    coeffs = np.fft.fftn(raw, axes=grid.spatial_axes)
-    keep = grid.wavenumbers_squared <= kcut**2
-    coeffs *= keep.reshape(keep.shape + (1,))
-    u = np.fft.ifftn(coeffs, axes=grid.spatial_axes).real
-    sup = sup_magnitude(u)
-    if sup == 0:
-        return u
-    return u * (sup_target / sup)
+    """Seeded band-limited random field; see tensor.smooth_random_ic."""
+    return tensor.smooth_random_ic(grid, (m,), sup_target, seed, kcut)
 
 
 def smooth_deterministic_ic(

@@ -88,6 +88,17 @@ def test_build_run_config_errors():
         build_run_config({"model": "vector", "ic": "no_such_ic"})
     with pytest.raises(ConfigError):
         build_run_config({"model": "vector", "threshold_policy": "abort"})
+    for bad in (
+        {"tau": "nan"},
+        {"tau": "inf"},
+        {"tau": "1/0"},
+        {"ic": "smooth:sup=inf"},
+        {"ic": "smooth:sup=nan"},
+        {"ic": "smooth:kcut=-3"},
+        {"seed": "-1"},
+    ):
+        with pytest.raises(ConfigError):
+            build_run_config({"model": "vector", **bad})
 
 
 def test_threshold_policy_enforce_rejects_large_tau():
@@ -236,6 +247,9 @@ def test_snapshot_corruption_detected(tmp_path):
     (tmp_path / "junk.snap").write_bytes(b"not a snapshot\n")
     with pytest.raises(SnapshotFormatError):
         read_snapshot(tmp_path / "junk.snap")
+    (tmp_path / "v2.snap").write_bytes(blob.replace(b"ACSPLIT-SNAPSHOT v1", b"ACSPLIT-SNAPSHOT v2", 1))
+    with pytest.raises(SnapshotFormatError, match="version"):
+        read_snapshot(tmp_path / "v2.snap")
 
 
 def test_snapshot_cadence(tmp_path):
@@ -411,6 +425,19 @@ def test_cli_run_bad_config_exit_1(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "model=vector\nn=7\n")
     assert cli.main(["run", cfg]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_nonfinite_tau_exit_1_without_traceback(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "model=vector\nd=1\nn=16\nm=2\nic=zero\ntau=nan\nsteps=2\n")
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_cli_usage_error_exit_1(capsys):
+    # argparse's own exit code 2 would collide with the invariant-failure code
+    assert cli.main(["verify", "core"]) == 1
 
 
 def test_cli_run_missing_config_exit_3(tmp_path, capsys):
