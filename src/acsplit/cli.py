@@ -134,6 +134,10 @@ def main(argv: list[str] | None = None) -> int:
     except harness.ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as e:
+        # a field too large for this host, such as d=3 with a huge n
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     except harness.InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -30,6 +30,7 @@ __all__ = [
     "ThresholdResult",
     "nonlinear_propagate_mat",
     "strang_step_mat",
+    "strang_evolve_mat",
     "g_potential_mat",
     "g_trace_derivative",
     "modified_energy_mat",

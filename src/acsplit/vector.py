@@ -22,6 +22,7 @@ from .tensor import INEQUALITY_SLACK, g_scalar  # noqa: F401  (still importable 
 __all__ = [
     "nonlinear_propagate_vec",
     "strang_step_vec",
+    "strang_evolve_vec",
     "g_potential_vec",
     "g_gradient_vec",
     "modified_energy_vec",

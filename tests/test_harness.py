@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import acsplit.matrix
-from acsplit import cli
+import acsplit.vector
+from acsplit import cli, harness
 from acsplit.grid import TorusGrid
 from acsplit.harness import (
     ConfigError,
@@ -250,6 +251,81 @@ def test_snapshot_corruption_detected(tmp_path):
     (tmp_path / "v2.snap").write_bytes(blob.replace(b"ACSPLIT-SNAPSHOT v1", b"ACSPLIT-SNAPSHOT v2", 1))
     with pytest.raises(SnapshotFormatError, match="version"):
         read_snapshot(tmp_path / "v2.snap")
+    # header geometry the reader must refuse before it sizes the payload
+    for tag, edits in {
+        "m0": {b"m=2": b"m=0"},
+        "n0": {b"n=8": b"n=0"},
+        "d5": {b"d=1": b"d=5"},
+        "n3": {b"n=8": b"n=3"},
+        "huge": {b"d=1": b"d=3", b"n=8": b"n=2097152", b"m=2": b"m=3"},
+    }.items():
+        bad = blob
+        for old, new in edits.items():
+            bad = bad.replace(b"\n" + old + b"\n", b"\n" + new + b"\n", 1)
+        assert bad != blob
+        (tmp_path / f"{tag}.snap").write_bytes(bad)
+        with pytest.raises(SnapshotFormatError):
+            read_snapshot(tmp_path / f"{tag}.snap")
+    (tmp_path / "nomodel.snap").write_bytes(blob.replace(b"model=vector\n", b"", 1))
+    with pytest.raises(SnapshotFormatError, match="model"):
+        read_snapshot(tmp_path / "nomodel.snap")
+    (tmp_path / "long.snap").write_bytes(blob + bytes(8))
+    with pytest.raises(SnapshotFormatError, match="trailing"):
+        read_snapshot(tmp_path / "long.snap")
+
+
+def test_snapshot_header_geometry_property(tmp_path):
+    # any header geometry and payload length gives either a field of the
+    # header's shape or SnapshotFormatError, never another exception
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    path = tmp_path / "p.snap"
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
+    @hypothesis.given(
+        model=st.sampled_from(["vector", "matrix"]),
+        d=st.integers(-1, 5),
+        n=st.integers(-2, 10),
+        m=st.integers(-1, 3),
+        extra=st.integers(-3, 3),
+    )
+    def check(model, d, n, m, extra):
+        axes = 1 if model == "vector" else 2
+        count = max(m, 0) ** axes * max(n, 0) ** max(d, 0)
+        header = (
+            f"ACSPLIT-SNAPSHOT v1\nmodel={model}\nd={d}\nn={n}\nm={m}\ntau=0.1\n"
+            "step=0\nendian=little\ndtype=float64\nlayout=components-slowest\nend\n"
+        )
+        payload = np.arange(max(count + extra, 0), dtype="<f8").tobytes()
+        path.write_bytes(header.encode("ascii") + payload)
+        try:
+            meta, values = read_snapshot(path)
+        except SnapshotFormatError:
+            return
+        assert d in (1, 2, 3) and n >= 4 and n % 2 == 0 and m >= 1 and extra == 0
+        assert values.shape == (n,) * d + (m,) * axes
+        assert np.array_equal(np.moveaxis(values, range(d), range(axes, axes + d)).ravel(),
+                              np.arange(count))
+
+    check()
+
+
+def test_read_snapshot_holds_at_most_two_copies(tmp_path):
+    import tracemalloc
+
+    grid = TorusGrid(3, 32)
+    u = np.random.Generator(np.random.Philox(13)).standard_normal(grid.shape + (3,))
+    path = tmp_path / "big.snap"
+    write_snapshot(path, u, model="vector", grid=grid, m=3, tau=0.1, step=0)
+    tracemalloc.start()
+    try:
+        _, back = read_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, u)
+    assert back.flags.c_contiguous and back.flags.writeable
+    assert peak <= 2.1 * u.nbytes, peak / u.nbytes
 
 
 def test_snapshot_cadence(tmp_path):
@@ -371,6 +447,62 @@ def test_verify_vector_scope_never_touches_matrix_module(monkeypatch):
     assert report.passed, "\n".join(report.format_lines())
 
 
+def test_trace_predicates_match_stepwise_loop():
+    # the verify helpers read whole trace columns; the per-step loop they
+    # replaced gives the same numbers, bit for bit
+    cfg = RunConfig(model="vector", d=1, n=16, m=2, tau=0.5, steps=6, ic="smooth", seed=8,
+                    ic_params={"sup": 1.5})
+    trace = run_experiment(cfg)
+    sups = [r.sup_norm for r in trace.rows]
+    energies = [r.energy_modified for r in trace.rows]
+    assert harness._worst_sup_excess(trace, 1.0) == max(
+        s - max(1.0, p) for p, s in zip(sups, sups[1:])
+    )
+    assert harness._relative_rises(trace).tolist() == [
+        (e - p) / abs(p) for p, e in zip(energies, energies[1:])
+    ]
+
+
+def test_vector_max_principle_check_fails_on_growing_sup(monkeypatch):
+    # the check reads the sup norm through run_experiment's trace, so a
+    # monitor that overshoots by 0.1 per call must fail it
+    real = acsplit.vector.sup_magnitude
+    calls = {"n": 0}
+
+    def growing_sup(u):
+        calls["n"] += 1
+        return real(u) + 0.1 * calls["n"]
+
+    monkeypatch.setattr(acsplit.vector, "sup_magnitude", growing_sup)
+    ok, detail = harness._check_vec_max_principle()
+    assert not ok
+    assert detail == "worst sup excess +4.01e-01"
+
+
+def _rising_energy():
+    counter = {"v": 0.0}
+
+    def fake_energy(grid, u, tau):
+        counter["v"] += 1.0
+        return counter["v"]
+
+    return fake_energy
+
+
+def test_vector_energy_check_fails_on_rising_energy(monkeypatch):
+    monkeypatch.setattr(acsplit.vector, "modified_energy_vec", _rising_energy())
+    report = verify_suite("vector")
+    failed = [r.name for r in report.results if not r.ok]
+    assert failed == ["vector/modified-energy-monotone"], "\n".join(report.format_lines())
+
+
+def test_matrix_energy_check_counts_rising_energy(monkeypatch):
+    monkeypatch.setattr(acsplit.matrix, "modified_energy_mat", _rising_energy())
+    ok, (ran, skipped, bad) = _dissipation_counts()
+    assert not ok and (ran, skipped) == (2, 2)
+    assert bad > 0
+
+
 def test_verify_matrix_scope_passes():
     report = verify_suite("matrix")
     assert report.passed, "\n".join(report.format_lines())
@@ -435,6 +567,30 @@ def test_cli_run_nonfinite_tau_exit_1_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_run_oversized_grid_exit_1_without_traceback(tmp_path, capsys):
+    # 100000^3 float64 nodes (7 PiB): numpy refuses the first array at once
+    cfg = _write_cfg(tmp_path, "model=vector\nd=3\nn=100000\nm=3\nic=zero\nsteps=1\n")
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_smooth_ic_keeps_fractional_kcut():
+    # |k|^2 = 5 (k = (1, 2)) lies inside kcut = 2.5 and outside kcut = 2
+    grid = TorusGrid(2, 16)
+    k2 = grid.wavenumbers_squared
+
+    def shell_amplitude(ic):
+        cfg = build_run_config({"model": "vector", "d": "2", "n": "16", "m": "2", "ic": ic})
+        u = build_initial(cfg, grid)
+        coeffs = np.abs(np.fft.fftn(u, axes=(0, 1)))
+        return coeffs[k2 == 5].max() / coeffs.max()
+
+    assert shell_amplitude("smooth:kcut=2.5") > 1e-3
+    assert shell_amplitude("smooth:kcut=2") < 1e-12
+
+
 def test_cli_usage_error_exit_1(capsys):
     # argparse's own exit code 2 would collide with the invariant-failure code
     assert cli.main(["verify", "core"]) == 1
@@ -495,6 +651,17 @@ def test_cli_info_corrupt_file_exit_3(tmp_path):
     p = tmp_path / "bad.snap"
     p.write_bytes(b"garbage\n")
     assert cli.main(["info", str(p)]) == 3
+
+
+def test_cli_info_bad_geometry_exit_3_without_traceback(tmp_path, capsys):
+    grid = TorusGrid(1, 8)
+    path = tmp_path / "v.snap"
+    write_snapshot(path, np.zeros((8, 2)), model="vector", grid=grid, m=2, tau=0.1, step=0)
+    path.write_bytes(path.read_bytes().replace(b"\nm=2\n", b"\nm=0\n", 1))
+    assert cli.main(["info", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "geometry" in err and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_cli_verify_vector_scope_exit_0(capsys):
