@@ -12,6 +12,7 @@ CLI.
 # Thread-count override: honored only if this runs before numpy is first
 # imported, since the BLAS/FFT pools read these at load time.
 import os as _os
+import types as _types
 
 _threads = _os.environ.get("ACSPLIT_NUM_THREADS")
 if _threads:
@@ -86,58 +87,10 @@ from .harness import (
     write_snapshot,
 )
 
-__all__ = [
-    "__version__",
-    "TorusGrid",
-    "forward_transform",
-    "inverse_transform",
-    "heat_propagate",
-    "dissipation_quadratic",
-    "dirichlet_energy",
-    "OracleConfig",
-    "integrate_vector_ode",
-    "integrate_matrix_ode",
-    "g_scalar",
-    "nonlinear_propagate_vec",
-    "strang_step_vec",
-    "strang_evolve_vec",
-    "g_potential_vec",
-    "g_gradient_vec",
-    "modified_energy_vec",
-    "standard_energy_vec",
-    "sup_magnitude",
-    "concavity_inequality_check_vec",
-    "random_direction_ic",
-    "smooth_random_ic",
-    "smooth_deterministic_ic",
-    "DISSIPATION_THRESHOLD",
-    "nonlinear_propagate_mat",
-    "strang_step_mat",
-    "strang_evolve_mat",
-    "g_potential_mat",
-    "g_trace_derivative",
-    "modified_energy_mat",
-    "standard_energy_mat",
-    "sup_frobenius",
-    "threshold_check",
-    "taylor_inequality_check",
-    "projection_split_step",
-    "det_sign_field",
-    "polar_ic",
-    "smooth_random_mat_ic",
-    "split_amplitude_mat_ic",
-    "RunConfig",
-    "EnergyTrace",
-    "ConvergenceReport",
-    "VerifyReport",
-    "ConfigError",
-    "InvariantViolation",
-    "load_config",
-    "build_initial",
-    "run_experiment",
-    "convergence_study",
-    "verify_suite",
-    "write_snapshot",
-    "read_snapshot",
-    "snapshot_info",
-]
+# the names imported above are the package's API; importing them also binds
+# the submodules, which are left out
+__all__ = ["__version__"] + sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -27,6 +27,8 @@ __all__ = [
     "TorusGrid",
     "forward_transform",
     "inverse_transform",
+    "half_spectrum",
+    "half_inverse",
     "heat_propagate",
     "dissipation_quadratic",
     "dirichlet_energy",
@@ -46,9 +48,9 @@ class TorusGrid:
     d: int
     n: int
     # cached derived arrays; computed in __post_init__
-    _k1: np.ndarray = field(init=False, repr=False, compare=False)
     _k2: np.ndarray = field(init=False, repr=False, compare=False)
     _k2r: np.ndarray = field(init=False, repr=False, compare=False)
+    _wr: np.ndarray = field(init=False, repr=False, compare=False)
     _phase: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,33 +59,20 @@ class TorusGrid:
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"points per axis must be even and >= 4, got {self.n}")
         k1 = (np.fft.fftfreq(self.n) * self.n).astype(np.float64)
-        shape = self.shape
-        k2 = np.zeros(shape)
-        for ax in range(self.d):
-            sl = [None] * self.d
-            sl[ax] = slice(None)
-            k2 = k2 + k1[tuple(sl)] ** 2
+        k = np.ix_(*[k1] * self.d)  # per-axis wavenumbers, broadcast to the lattice
+        k2 = sum(ki**2 for ki in k)
+        # (-1)^(k_1 + ... + k_d): the phase factor between numpy's
+        # j=0-at-origin DFT and coefficients anchored at x_0 = -pi
+        phase = 1.0 - 2.0 * (sum(k) % 2)
         # half-spectrum |k|^2 for the real-input transforms used by the heat
         # step: the last spatial axis carries frequencies 0..n/2 only
-        k1r = np.arange(self.n // 2 + 1, dtype=np.float64)
-        per_axis = [k1] * (self.d - 1) + [k1r]
-        k2r = np.zeros(shape[: self.d - 1] + (self.n // 2 + 1,))
-        for ax in range(self.d):
-            sl = [None] * self.d
-            sl[ax] = slice(None)
-            k2r = k2r + per_axis[ax][tuple(sl)] ** 2
-        # (-1)^k per axis: the phase factor between numpy's j=0-at-origin DFT
-        # and coefficients anchored at x_0 = -pi
-        ph1 = np.where(k1.astype(np.int64) % 2 == 0, 1.0, -1.0)
-        phase = np.ones(shape)
-        for ax in range(self.d):
-            sl = [None] * self.d
-            sl[ax] = slice(None)
-            phase = phase * ph1[tuple(sl)]
-        object.__setattr__(self, "_k1", k1)
-        object.__setattr__(self, "_k2", k2)
-        object.__setattr__(self, "_k2r", k2r)
-        object.__setattr__(self, "_phase", phase)
+        k2r = sum(ki**2 for ki in np.ix_(*[k1] * (self.d - 1), np.arange(self.n // 2 + 1.0)))
+        # a half-lattice mode stands for itself and its conjugate -k, except
+        # on the planes k_last = 0 and n/2, which hold both already
+        wr = np.full(k2r.shape, 2.0)
+        wr[..., [0, -1]] = 1.0
+        for name, value in (("_k2", k2), ("_k2r", k2r), ("_wr", wr), ("_phase", phase)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,6 +109,11 @@ class TorusGrid:
         """Reshape a spectral multiplier to broadcast over trailing axes."""
         return mult.reshape(mult.shape + (1,) * (field_ndim - self.d))
 
+    def heat_multiplier(self, t: float, field_ndim: int) -> np.ndarray:
+        """The heat symbol e^{-t|k|^2} on the half lattice, for half spectra of
+        fields with `field_ndim` axes."""
+        return self._broadcast(np.exp(-t * self._k2r), field_ndim)
+
 
 def _check_field(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
@@ -151,6 +145,18 @@ def inverse_transform(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return values.real
 
 
+def half_spectrum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Unnormalized DFT sums of a real field on the half lattice k_last in
+    0..n/2 (numpy's rfftn over the spatial axes); the other half is their
+    complex conjugate."""
+    return np.fft.rfftn(_check_field(grid, values), axes=grid.spatial_axes)
+
+
+def half_inverse(grid: TorusGrid, spectrum: np.ndarray) -> np.ndarray:
+    """The real field whose half_spectrum is `spectrum`."""
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=grid.spatial_axes)
+
+
 def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:
     """Heat semigroup e^{t*Laplacian}: multiplier e^{-t|k|^2} per coefficient.
 
@@ -162,36 +168,44 @@ def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:
     values = _check_field(grid, values)
     if t == 0:
         return np.array(values, copy=True)
-    coeffs = np.fft.rfftn(values, axes=grid.spatial_axes)
-    mult = grid._broadcast(np.exp(-t * grid._k2r), coeffs.ndim)
-    return np.fft.irfftn(coeffs * mult, s=grid.shape, axes=grid.spatial_axes)
+    coeffs = half_spectrum(grid, values)
+    return half_inverse(grid, coeffs * grid.heat_multiplier(t, coeffs.ndim))
+
+
+def _spectral_sum(grid: TorusGrid, coeffs: np.ndarray, symbol) -> float:
+    """(2*pi)^d sum_k symbol(|k|^2) |u_hat[k]|^2, trailing axes summed, from the
+    coefficients of forward_transform or from a field's half_spectrum."""
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    if coeffs.shape[: grid.d] == grid._k2r.shape:  # half lattice, unnormalized
+        mult = grid._wr * symbol(grid._k2r) / float(grid.n) ** (2 * grid.d)
+    else:
+        _check_field(grid, coeffs)
+        mult = symbol(grid._k2)
+    pairs = coeffs.reshape(coeffs.shape[: grid.d] + (-1,)).view(np.float64)
+    power = np.einsum("...i,...i->...", pairs, pairs)  # |c|^2 summed over trailing axes
+    return float(grid.volume * np.sum(mult * power))
 
 
 def dissipation_quadratic(grid: TorusGrid, coeffs: np.ndarray, tau: float) -> float:
     """Quadratic form (2*pi)^d sum_k (1 - e^{-tau|k|^2}) |u_hat[k]|^2.
 
-    `coeffs` must be the coefficients of the PRE-half-step field u: with
-    u_tilde = e^{(tau/2) Laplacian} u this equals the nonnegative form
-    integral of <(e^{-tau*Laplacian} - 1) u_tilde, u_tilde>, without ever
-    evaluating the growing symbol e^{+tau|k|^2}.  Trailing axes are summed
-    (componentwise scalar forms add).  Uses expm1 so that small tau suffers
-    no cancellation.
+    `coeffs` must be the coefficients of the PRE-half-step field u (or its
+    half_spectrum): with u_tilde = e^{(tau/2) Laplacian} u this equals the
+    nonnegative form integral of <(e^{-tau*Laplacian} - 1) u_tilde, u_tilde>,
+    without ever evaluating the growing symbol e^{+tau|k|^2}.  Trailing axes
+    are summed (componentwise scalar forms add).  Uses expm1 so that small
+    tau suffers no cancellation.
     """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    coeffs = _check_field(grid, coeffs)
-    mult = grid._broadcast(-np.expm1(-tau * grid._k2), coeffs.ndim)
-    total = np.sum(mult * (coeffs.real**2 + coeffs.imag**2))
-    return float(grid.volume * total)
+    return _spectral_sum(grid, coeffs, lambda k2: -np.expm1(-tau * k2))
 
 
 def dirichlet_energy(grid: TorusGrid, coeffs: np.ndarray) -> float:
-    """Gradient energy (1/2) * (2*pi)^d * sum_k |k|^2 |u_hat[k]|^2.
+    """Gradient energy (1/2) * (2*pi)^d * sum_k |k|^2 |u_hat[k]|^2, from the
+    coefficients or the half_spectrum.
 
     Equals (1/2) * integral |grad u|^2 for the trigonometric interpolant.
     Trailing axes are summed.
     """
-    coeffs = _check_field(grid, coeffs)
-    mult = grid._broadcast(grid._k2, coeffs.ndim)
-    total = np.sum(mult * (coeffs.real**2 + coeffs.imag**2))
-    return float(0.5 * grid.volume * total)
+    return 0.5 * _spectral_sum(grid, coeffs, lambda k2: k2)

@@ -205,6 +205,8 @@ def _parse_ic(text: str) -> tuple[str, dict]:
             if "=" not in item:
                 raise ConfigError(f"bad ic parameter {item!r} in {text!r}")
             k, v = item.split("=", 1)
+            if k.strip() in params:
+                raise ConfigError(f"duplicate ic parameter {k.strip()!r} in {text!r}")
             try:
                 num = _parse_number(v)
             except ConfigError as e:
@@ -275,17 +277,17 @@ MATRIX_ICS: dict[str, Callable] = {
     "identity": lambda grid, m, seed: np.broadcast_to(
         np.eye(m), grid.shape + (m, m)
     ).copy(),
-    "polar_star": lambda grid, m, seed: _require_m2(grid, m, "star"),
-    "polar_stripe": lambda grid, m, seed: _require_m2(grid, m, "stripe"),
+    "polar_star": lambda grid, m, seed: _polar_ic(grid, m, "star"),
+    "polar_stripe": lambda grid, m, seed: _polar_ic(grid, m, "stripe"),
     "split_noise": lambda grid, m, seed, lo=0.05, hi=300.0: mat.split_amplitude_mat_ic(
         grid, m, lo, hi, seed
     ),
 }
 
 
-def _require_m2(grid: TorusGrid, m: int, variant: str) -> np.ndarray:
-    if m != 2:
-        raise ConfigError(f"polar initial data requires m = 2, got m = {m}")
+def _polar_ic(grid: TorusGrid, m: int, variant: str) -> np.ndarray:
+    if m != 2 or grid.d != 2:
+        raise ConfigError(f"polar initial data requires d = 2 and m = 2, got d = {grid.d}, m = {m}")
     return mat.polar_ic(grid, variant)
 
 
@@ -348,17 +350,7 @@ class EnergyTrace:
         rows = []
         for ln in lines[1:]:
             parts = ln.split(",")
-            rows.append(
-                TraceRow(
-                    step=int(parts[0]),
-                    time=float(parts[1]),
-                    energy_standard=float(parts[2]),
-                    energy_modified=float(parts[3]),
-                    delta_e=float(parts[4]),
-                    sup_norm=float(parts[5]),
-                    dissipation_ok=parts[6].strip() == "1",
-                )
-            )
+            rows.append(TraceRow(int(parts[0]), *map(float, parts[1:6]), parts[6].strip() == "1"))
         return cls(rows)
 
 
@@ -483,22 +475,6 @@ def snapshot_info(path: str | os.PathLike) -> dict:
 # trajectory driver
 
 
-def _model_ops(model: str):
-    if model == "vector":
-        return (
-            vec.strang_step_vec,
-            vec.sup_magnitude,
-            vec.standard_energy_vec,
-            vec.modified_energy_vec,
-        )
-    return (
-        mat.strang_step_mat,
-        mat.sup_frobenius,
-        mat.standard_energy_mat,
-        mat.modified_energy_mat,
-    )
-
-
 def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyTrace:
     """Step the configured model, recording the energy trace each step and
     writing trace/snapshot files when out_dir is set.
@@ -526,56 +502,42 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
                 stacklevel=2,
             )
 
-    step_fn, sup_fn, e_std_fn, e_mod_fn = _model_ops(cfg.model)
+    # the model's flow and monitors, looked up by module name at each run
+    if cfg.model == "vector":
+        flow, sup_fn, e_std_fn, e_mod_fn = (vec.nonlinear_propagate_vec, vec.sup_magnitude,
+                                            vec.standard_energy_vec, vec.modified_energy_vec)
+    else:
+        flow, sup_fn, e_std_fn, e_mod_fn = (mat.nonlinear_propagate_mat, mat.sup_frobenius,
+                                            mat.standard_energy_mat, mat.modified_energy_mat)
+    # one pipeline with strang_evolve_*; the monitors read each step's record
+    states = tensor._strang_states(grid, u, cfg.tau, flow)
+    del u
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def snap(step_idx: int, field: np.ndarray):
-        if out_dir is None or cfg.snapshot_every <= 0:
-            return
-        if step_idx % cfg.snapshot_every == 0 or step_idx == cfg.steps:
-            write_snapshot(
-                out_dir / f"snap_{step_idx:06d}.snap",
-                field,
-                model=cfg.model,
-                grid=grid,
-                m=cfg.m,
-                tau=cfg.tau,
-                step=step_idx,
-            )
-
     rows: list[TraceRow] = []
 
-    def record(step_idx: int, field: np.ndarray, prev_mod: float | None) -> float:
-        sup = sup_fn(field)
+    def record(step_idx: int, state: tensor.StepRecord, prev_mod: float | None) -> float:
+        sup = sup_fn(state.field)
         if not np.isfinite(sup):
             raise InvariantViolation(f"non-finite field values at step {step_idx}")
-        e_std = e_std_fn(grid, field)
-        e_mod = e_mod_fn(grid, field, cfg.tau)
-        ok = True
-        if prev_mod is not None:
-            ok = e_mod <= prev_mod + DISSIPATION_REL_TOL * abs(prev_mod)
-        rows.append(
-            TraceRow(
-                step=step_idx,
-                time=step_idx * cfg.tau,
-                energy_standard=e_std,
-                energy_modified=e_mod,
-                delta_e=abs(e_mod - e_std),
-                sup_norm=sup,
-                dissipation_ok=ok,
-            )
-        )
+        e_std = e_std_fn(grid, state)
+        e_mod = e_mod_fn(grid, state, cfg.tau)
+        if out_dir is not None and cfg.snapshot_every > 0 and (
+            step_idx % cfg.snapshot_every == 0 or step_idx == cfg.steps
+        ):
+            write_snapshot(out_dir / f"snap_{step_idx:06d}.snap", state.field, model=cfg.model,
+                           grid=grid, m=cfg.m, tau=cfg.tau, step=step_idx)
+        ok = prev_mod is None or e_mod <= prev_mod + DISSIPATION_REL_TOL * abs(prev_mod)
+        rows.append(TraceRow(step_idx, step_idx * cfg.tau, e_std, e_mod, abs(e_mod - e_std), sup, ok))
         return e_mod
 
-    prev = record(0, u, None)
-    snap(0, u)
-    for n in range(1, cfg.steps + 1):
-        u = step_fn(grid, u, cfg.tau)
-        prev = record(n, u, prev)
-        snap(n, u)
+    # next(states) straight into record: no record is held past its step
+    prev = None
+    for n in range(cfg.steps + 1):
+        prev = record(n, next(states), prev)
 
     trace = EnergyTrace(rows)
     if out_dir is not None:

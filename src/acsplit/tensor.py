@@ -16,6 +16,9 @@ A f(A^T A) = (A V) f(Lambda) V^T, with Lambda_i = sigma_i(A)^2.
 
 from __future__ import annotations
 
+import itertools
+import math
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -27,6 +30,9 @@ from .grid import TorusGrid
 
 # slack floor for the concavity and Taylor inequality checks
 INEQUALITY_SLACK = 1e-10
+# floor for e^{-t} terms that underflow at large t: it keeps the closed forms
+# finite where lam = 0 and moves them by less than rounding where lam > 1e-291
+_TINY = np.finfo(np.float64).tiny
 
 
 def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
@@ -38,15 +44,22 @@ def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
 
     but evaluated in the factored form
 
-        (lam/tau) (1/2 - e^tau / (1 + sqrt(1 + expm1(2 tau) lam)))
+        (lam/tau) (1/2 - 1 / (e^{-tau} + sqrt(e^{-2 tau} - expm1(-2 tau) lam)))
 
-    which has no subtractive cancellation for small tau or small lam.
+    which has no subtractive cancellation for small tau or small lam, and
+    no overflow at large tau.
     """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     lam = np.asarray(lam, dtype=np.float64)
-    root = np.sqrt(1.0 + np.expm1(2.0 * tau) * lam)
-    return (lam / tau) * (0.5 - np.exp(tau) / (1.0 + root))
+    root = np.sqrt(math.exp(-2.0 * tau) - math.expm1(-2.0 * tau) * lam)
+    return (lam / tau) * (0.5 - 1.0 / (max(math.exp(-tau), _TINY) + root))
+
+
+def _flow_factor(lam: np.ndarray, t: float) -> np.ndarray:
+    """e^t / sqrt(expm1(2t) lam + 1), the flow's factor on a squared singular
+    value, as 1 / sqrt(-expm1(-2t) lam + e^{-2t}) so that nothing overflows."""
+    return 1.0 / np.sqrt(-math.expm1(-2.0 * t) * lam + max(math.exp(-2.0 * t), _TINY))
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -76,42 +89,83 @@ def nonlinear_propagate(a: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("non-finite values in input field")
     if t == 0:
         return a.copy()  # skip the eigendecomposition's last-ulp noise
-    c = np.expm1(2.0 * t)
-    return _gram_function(a, lambda lam: np.exp(t) / np.sqrt(c * lam + 1.0))
+    return _gram_function(a, lambda lam: _flow_factor(lam, t))
 
 
-def strang_step(
-    grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable, with_intermediate: bool
-):
+def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> np.ndarray:
     """One step S_L(tau/2) S_N(tau) S_L(tau/2), `flow` being the model's S_N
-    on its own field shape.  With `with_intermediate`, returns (new field,
-    u_tilde), u_tilde = S_L(tau/2) u being where the modified energy lives."""
+    on its own field shape: the plain composition, as a reference."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     u_tilde = spectral.heat_propagate(grid, u, 0.5 * tau)
-    u_next = spectral.heat_propagate(grid, flow(u_tilde, tau), 0.5 * tau)
-    if with_intermediate:
-        return u_next, u_tilde
-    return u_next
+    return spectral.heat_propagate(grid, flow(u_tilde, tau), 0.5 * tau)
+
+
+class StepRecord:
+    """A state u_n of a splitting run with step tau, as the run holds it: the
+    field, its half spectrum (grid.half_spectrum) and u~_n = S_L(tau/2) u_n,
+    where the modified energy lives.  Each is made from what is known on
+    first use and then kept.  The energy functions take a record or a field;
+    a field is first turned into a record."""
+
+    def __init__(self, grid: TorusGrid, tau: float | None, **known):
+        self.grid, self.tau = grid, tau
+        self.__dict__.update(known)  # field or spectrum, and a shared half_heat
+
+    @cached_property
+    def half_heat(self) -> np.ndarray:
+        return self.grid.heat_multiplier(0.5 * self.tau, self.spectrum.ndim)
+
+    @cached_property
+    def field(self) -> np.ndarray:
+        return spectral.half_inverse(self.grid, self.spectrum)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return spectral.half_spectrum(self.grid, self.field)
+
+    @cached_property
+    def u_tilde(self) -> np.ndarray:
+        return spectral.half_inverse(self.grid, self.spectrum * self.half_heat)
+
+
+def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
+    """The records of u_0 = u, u_1, ... along the splitting run with step tau.
+
+    A step transforms S_N(tau) u~_n once into h; u_{n+1} and u~_{n+1} are the
+    inverse transforms of e^{-tau|k|^2/2} h and e^{-tau|k|^2} h, made when a
+    consumer or the next step first asks for them: 3 transforms per
+    monitored step, 2 per bare one.  Between steps the generator holds only
+    the current record, and during a step only u~_n; the consumer should
+    not keep a record past the next step.
+    """
+    state = StepRecord(grid, tau, field=u)
+    del u
+    half = state.half_heat
+    while True:
+        yield state
+        w = state.u_tilde
+        state = None
+        w = flow(w, tau)  # drops u~_n
+        w = spectral.half_spectrum(grid, w)  # drops S_N(tau) u~_n
+        w *= half
+        state = StepRecord(grid, tau, spectrum=w, half_heat=half)
 
 
 def strang_evolve(
     grid: TorusGrid, u: np.ndarray, tau: float, steps: int, flow: Callable
 ) -> np.ndarray:
-    """`steps` splitting steps, the same as iterating strang_step, with the
-    adjacent half heat steps between two flows fused into one full step;
-    this halves the transforms of long energy-free runs."""
+    """`steps` splitting steps, the same as iterating strang_step, through the
+    run's pipeline (_strang_states) with nothing monitored: the half heat
+    steps between two flows take one transform pair."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return np.array(u, copy=True)
-    u = spectral.heat_propagate(grid, u, 0.5 * tau)
-    for n in range(steps):
-        u = flow(u, tau)
-        u = spectral.heat_propagate(grid, u, tau if n < steps - 1 else 0.5 * tau)
-    return u
+    states = _strang_states(grid, np.asarray(u, dtype=np.float64), tau, flow)
+    return next(itertools.islice(states, steps, None)).field
 
 
 def potential(a: np.ndarray, tau: float) -> np.ndarray:
@@ -131,40 +185,52 @@ def gradient(a: np.ndarray, tau: float) -> np.ndarray:
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     a = np.asarray(a, dtype=np.float64)
-    c = np.expm1(2.0 * tau)
-    return _gram_function(a, lambda lam: (1.0 - np.exp(tau) / np.sqrt(1.0 + c * lam)) / tau)
+    return _gram_function(a, lambda lam: (1.0 - _flow_factor(lam, tau)) / tau)
 
 
-def modified_energy(
-    grid: TorusGrid, a: np.ndarray, tau: float, potential_fn: Callable
-) -> float:
+def _record(grid: TorusGrid, a, tau: float | None = None) -> StepRecord:
+    """`a` if it is a StepRecord (of a run with step tau), else the record of the field `a`."""
+    if not isinstance(a, StepRecord):
+        return StepRecord(grid, tau, field=np.asarray(a, dtype=np.float64))
+    if tau is not None and a.tau != tau:
+        raise ValueError(f"record of a run with tau = {a.tau}, not {tau}")
+    return a
+
+
+def _matrices(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
+    """The field's values as m x q matrices; one component axis reads as m x 1."""
+    return a.reshape(a.shape[: grid.d + 1] + (-1,))
+
+
+def modified_energy(grid: TorusGrid, a, tau: float, potential_fn: Callable) -> float:
     """Modified energy, nonincreasing along the splitting, at A~ = S_L(tau/2) A
-    for the PRE-half-step field A, with potential_fn the model's trace potential:
+    for the PRE-half-step field A (or its StepRecord), with potential_fn the
+    model's trace potential:
 
         int (1/(2 tau)) <(e^{-tau Lap} - 1) A~, A~> + potential_fn(A~) dx + (q/4) (2 pi)^d.
 
     The quadratic part is (2 pi)^d sum_k (1 - e^{-tau |k|^2}) |A_hat_k|^2 on the
-    coefficients of A itself, so the growing symbol e^{+tau|k|^2} never
+    spectrum of A itself, so the growing symbol e^{+tau|k|^2} never
     appears; the constant aligns it with the standard energy as tau -> 0.
     """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    coeffs = spectral.forward_transform(grid, a)
-    quad = spectral.dissipation_quadratic(grid, coeffs, tau) / (2.0 * tau)
-    a_tilde = spectral.heat_propagate(grid, a, 0.5 * tau)
+    state = _record(grid, a, tau)
+    quad = spectral.dissipation_quadratic(grid, state.spectrum, tau) / (2.0 * tau)
+    a_tilde = _matrices(grid, state.u_tilde)
     pot = grid.cell_volume * float(np.sum(potential_fn(a_tilde, tau)))
-    return quad + pot + 0.25 * a.shape[-1] * grid.volume
+    return quad + pot + 0.25 * a_tilde.shape[-1] * grid.volume
 
 
-def standard_energy(grid: TorusGrid, a: np.ndarray) -> float:
-    """Standard energy int (1/2)||grad A||_F^2 + (1/4)||A^T A - I||_F^2 dx."""
-    a = np.asarray(a, dtype=np.float64)
-    q = a.shape[-1]
-    coeffs = spectral.forward_transform(grid, a)
-    gram = _gram(a)
+def standard_energy(grid: TorusGrid, a) -> float:
+    """Standard energy int (1/2)||grad A||_F^2 + (1/4)||A^T A - I||_F^2 dx, of a
+    field or a StepRecord."""
+    state = _record(grid, a)
+    gram = _gram(_matrices(grid, state.field))
+    q = gram.shape[-1]
     gram[..., range(q), range(q)] -= 1.0
     pot = 0.25 * grid.cell_volume * float(np.sum(gram * gram))
-    return spectral.dirichlet_energy(grid, coeffs) + pot
+    return spectral.dirichlet_energy(grid, state.spectrum) + pot
 
 
 def sup_norm(a: np.ndarray) -> float:

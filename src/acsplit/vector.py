@@ -3,7 +3,8 @@
 A vector field, shape grid.shape + (m,), is the tensorial model of
 acsplit.tensor on m x 1 matrices: for U = u, U U^T U = |u|^2 u and the Gram
 matrix U^T U is |u|^2.  The functions here pass u[..., None] to acsplit.tensor
-and drop the axis on return.  The pointwise flow is
+and drop the axis on return; the energies read one component axis as m x 1
+themselves.  The pointwise flow is
 
     S_N(t) w = e^t w / sqrt((e^{2t} - 1) |w|^2 + 1),
 
@@ -41,11 +42,9 @@ def nonlinear_propagate_vec(w: np.ndarray, t: float) -> np.ndarray:
     return tensor.nonlinear_propagate(np.asarray(w)[..., None], t)[..., 0]
 
 
-def strang_step_vec(
-    grid: TorusGrid, u: np.ndarray, tau: float, with_intermediate: bool = False
-):
+def strang_step_vec(grid: TorusGrid, u: np.ndarray, tau: float) -> np.ndarray:
     """One splitting step of the vector model; see tensor.strang_step."""
-    return tensor.strang_step(grid, u, tau, nonlinear_propagate_vec, with_intermediate)
+    return tensor.strang_step(grid, u, tau, nonlinear_propagate_vec)
 
 
 def strang_evolve_vec(
@@ -66,14 +65,16 @@ def g_gradient_vec(w: np.ndarray, tau: float) -> np.ndarray:
 
 
 def modified_energy_vec(grid: TorusGrid, u: np.ndarray, tau: float) -> float:
-    """Modified energy at u_tilde = S_L(tau/2) u, for the PRE-half-step u,
-    with the additive constant (2 pi)^d / 4; see tensor.modified_energy."""
-    return tensor.modified_energy(grid, np.asarray(u)[..., None], tau, tensor.potential)
+    """Modified energy at u_tilde = S_L(tau/2) u, for the PRE-half-step u (or
+    its tensor.StepRecord), with the additive constant (2 pi)^d / 4; see
+    tensor.modified_energy."""
+    return tensor.modified_energy(grid, u, tau, tensor.potential)
 
 
 def standard_energy_vec(grid: TorusGrid, u: np.ndarray) -> float:
-    """Standard energy E(u) = int (1/2)|grad u|^2 + (1/4)(|u|^2 - 1)^2 dx."""
-    return tensor.standard_energy(grid, np.asarray(u)[..., None])
+    """Standard energy E(u) = int (1/2)|grad u|^2 + (1/4)(|u|^2 - 1)^2 dx, of a
+    field or a tensor.StepRecord."""
+    return tensor.standard_energy(grid, u)
 
 
 def sup_magnitude(u: np.ndarray) -> float:

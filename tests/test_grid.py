@@ -6,6 +6,8 @@ from acsplit.grid import (
     dirichlet_energy,
     dissipation_quadratic,
     forward_transform,
+    half_inverse,
+    half_spectrum,
     heat_propagate,
     inverse_transform,
 )
@@ -169,6 +171,22 @@ def test_quadratic_form_rejects_bad_tau():
         dissipation_quadratic(grid, c, 0.0)
     with pytest.raises(ValueError):
         dissipation_quadratic(grid, c, -1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadratic_forms_from_the_half_spectrum(d):
+    # white noise has energy on every plane; weights 2, and 1 on the planes
+    # k_last = 0 and n/2, make the half spectrum's forms the full ones
+    grid = TorusGrid(d, 8)
+    u = np.random.Generator(np.random.Philox(d)).standard_normal(grid.shape + (3, 2))
+    full, half = forward_transform(grid, u), half_spectrum(grid, u)
+    assert half.shape == (8,) * (d - 1) + (5, 3, 2)
+    assert np.max(np.abs(half_inverse(grid, half) - u)) <= 1e-14
+    for tau in (0.01, 1.0, 10.0):
+        assert dissipation_quadratic(grid, half, tau) == pytest.approx(
+            dissipation_quadratic(grid, full, tau), rel=1e-13
+        )
+    assert dirichlet_energy(grid, half) == pytest.approx(dirichlet_energy(grid, full), rel=1e-13)
 
 
 def test_dirichlet_energy_cosine():

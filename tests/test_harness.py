@@ -97,9 +97,48 @@ def test_build_run_config_errors():
         {"ic": "smooth:sup=nan"},
         {"ic": "smooth:kcut=-3"},
         {"seed": "-1"},
+        {"ic": "smooth:sup=1,sup=2"},
     ):
         with pytest.raises(ConfigError):
             build_run_config({"model": "vector", **bad})
+
+
+def test_config_text_gives_field_or_config_error():
+    # any config text on a valid grid gives an initial field of the config's
+    # shape, built from the ic parameters as written, or ConfigError; never
+    # another exception, and never a parameter silently overridden
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    item = st.tuples(
+        st.sampled_from(["sup", "kcut", "magnitude", "lo", "hi", "bogus"]),
+        st.sampled_from(["0", "1", "2", "2.5", "1/3", "-1", "nan", "1e3", "x", ""]),
+    ).map("=".join)
+
+    @st.composite
+    def config_texts(draw):
+        model = draw(st.sampled_from(["vector", "matrix"]))
+        registry = harness.VECTOR_ICS if model == "vector" else harness.MATRIX_ICS
+        ic = draw(st.sampled_from(sorted(registry) + ["bogus"]))
+        params = draw(st.lists(item, max_size=3))
+        ic += ":" + ",".join(params) if params else ""
+        d, n, m = draw(st.integers(1, 3)), draw(st.sampled_from([4, 6, 8])), draw(st.integers(1, 3))
+        return model, d, n, m, ic, f"model={model}\nd={d}\nn={n}\nm={m}\nic={ic}\ntau=0.1\n"
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
+    @hypothesis.given(config_texts())
+    def check(drawn):
+        model, d, n, m, ic, text = drawn
+        try:
+            cfg = build_run_config(parse_config_text(text))
+            u = build_initial(cfg, TorusGrid(cfg.d, cfg.n))
+        except ConfigError:
+            return
+        assert u.shape == (n,) * d + (m,) * harness.COMPONENT_AXES[model]
+        for written in filter(None, ic.partition(":")[2].split(",")):
+            key, value = written.split("=", 1)
+            assert cfg.ic_params[key] == harness._parse_number(value), (ic, cfg.ic_params)
+
+    check()
 
 
 def test_threshold_policy_enforce_rejects_large_tau():
@@ -134,6 +173,10 @@ def test_polar_ic_requires_m2():
     with pytest.raises(ConfigError):
         cfg = RunConfig(model="matrix", d=2, n=8, m=3, tau=0.01, steps=0, ic="polar_star")
         build_initial(cfg, TorusGrid(2, 8))
+    for d, ic in ((3, "polar_star"), (1, "polar_stripe")):
+        cfg = RunConfig(model="matrix", d=d, n=8, m=2, tau=0.01, steps=0, ic=ic)
+        with pytest.raises(ConfigError, match="d = 2"):
+            build_initial(cfg, TorusGrid(d, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +431,121 @@ def test_snapshot_geometry_mismatch_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the stepping pipeline shared by run_experiment and strang_evolve_*
+
+PIPELINE_CASES = {
+    "vector3d": dict(model="vector", d=3, n=8, m=3, tau=0.05, steps=5, ic="smooth", seed=5,
+                     ic_params={"sup": 1.5}),
+    "matrix_star": dict(model="matrix", d=2, n=16, m=2, tau=0.01, steps=5, ic="polar_star"),
+}
+
+
+def _monitors_and_evolve(cfg):
+    """The model's sup norm, standard and modified energy, and bare evolve."""
+    if cfg.model == "vector":
+        v = acsplit.vector
+        return v.sup_magnitude, v.standard_energy_vec, v.modified_energy_vec, v.strang_evolve_vec
+    m = acsplit.matrix
+    return m.sup_frobenius, m.standard_energy_mat, m.modified_energy_mat, m.strang_evolve_mat
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+def test_trace_columns_equal_public_monitors_on_snapshots(tmp_path, case):
+    cfg = RunConfig(out_dir=str(tmp_path), snapshot_every=1, **PIPELINE_CASES[case])
+    trace = run_experiment(cfg)
+    grid = TorusGrid(cfg.d, cfg.n)
+    sup, e_std, e_mod, _ = _monitors_and_evolve(cfg)
+    std_tol = 1e-13 * abs(trace.rows[0].energy_standard)
+    mod_tol = 1e-13 * abs(trace.rows[0].energy_modified)
+    for row in trace.rows:
+        _, u = read_snapshot(tmp_path / f"snap_{row.step:06d}.snap")
+        assert row.sup_norm == sup(u)
+        assert abs(row.energy_standard - e_std(grid, u)) <= std_tol
+        assert abs(row.energy_modified - e_mod(grid, u, cfg.tau)) <= mod_tol
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+def test_final_snapshot_is_bitwise_strang_evolve(tmp_path, case):
+    cfg = RunConfig(out_dir=str(tmp_path), snapshot_every=100, **PIPELINE_CASES[case])
+    run_experiment(cfg)
+    grid = TorusGrid(cfg.d, cfg.n)
+    evolve = _monitors_and_evolve(cfg)[3]
+    _, final = read_snapshot(tmp_path / f"snap_{cfg.steps:06d}.snap")
+    assert np.array_equal(final, evolve(grid, build_initial(cfg, grid), cfg.tau, cfg.steps))
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+def test_transforms_per_step(monkeypatch, case):
+    # one forward real transform per step, and two inverse ones when
+    # monitored (u_{n+1} and u~_{n+1}) or one when bare, plus one pair for
+    # the initial field; the heat step, the complex transforms and the
+    # reference step are not used
+    cfg = RunConfig(**PIPELINE_CASES[case])
+    grid = TorusGrid(cfg.d, cfg.n)
+    u0 = build_initial(cfg, grid)
+    counts = {}
+
+    def counted(name):
+        real = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("not part of the pipeline")
+
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    for owner, name in ((acsplit.grid, "heat_propagate"), (acsplit.grid, "forward_transform"),
+                        (acsplit.tensor, "strang_step"), (acsplit.vector, "strang_step_vec"),
+                        (acsplit.matrix, "strang_step_mat")):
+        monkeypatch.setattr(owner, name, tripwire)
+    steps = cfg.steps
+    run_experiment(cfg, u0)
+    assert counts == {"rfftn": steps + 1, "irfftn": 2 * steps + 1}  # 3 per step
+    counts.clear()
+    _monitors_and_evolve(cfg)[3](grid, u0, cfg.tau, steps)
+    assert counts == {"rfftn": steps + 1, "irfftn": steps + 1}  # 2 per step
+
+
+def test_monitored_run_peak_memory():
+    # the run holds u~_n, not the previous step's field or spectrum: 6.5
+    # field sizes at peak, against 8.3 when the monitors transformed every
+    # step again, and 7.4 when the generator kept the previous step's record
+    import tracemalloc
+
+    cfg = RunConfig(model="vector", d=3, n=32, m=3, tau=0.02, steps=4, ic="smooth", seed=1)
+    u0 = build_initial(cfg, TorusGrid(cfg.d, cfg.n))
+    run_experiment(cfg, u0)  # numpy's FFT caches
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.0 * u0.nbytes, peak / u0.nbytes
+
+
+def test_large_tau_runs_stay_finite():
+    # expm1(2 tau) overflows beyond tau ~ 354; the flow and the potential
+    # must not, and S_N(tau) tends to the polar factor
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, m, tau, sup in (("matrix", 2, 400.0, math.sqrt(2)), ("vector", 2, 1000.0, 1.0)):
+            cfg = RunConfig(model=model, d=1, n=16, m=m, tau=tau, steps=3, ic="smooth", seed=0,
+                            threshold_policy="ignore")
+            trace = run_experiment(cfg)
+            assert trace.dissipation_all_ok
+            assert all(np.isfinite(trace.column(c)).all() for c in ("energy_standard", "energy_modified"))
+            assert trace.rows[-1].sup_norm == pytest.approx(sup, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # convergence study
 
 
@@ -557,6 +715,13 @@ def test_cli_run_bad_config_exit_1(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "model=vector\nn=7\n")
     assert cli.main(["run", cfg]) == 1
     assert "error:" in capsys.readouterr().err
+    for text in (
+        "model=matrix\nd=3\nn=8\nm=2\nic=polar_star\nsteps=1\n",
+        "model=vector\nd=1\nn=8\nm=2\nic=smooth:sup=1,sup=2\nsteps=1\n",
+    ):
+        assert cli.main(["run", _write_cfg(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_cli_run_nonfinite_tau_exit_1_without_traceback(tmp_path, capsys):

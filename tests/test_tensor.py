@@ -103,7 +103,7 @@ def test_vector_wrappers_equal_tensor_functions_on_column_view():
     assert vector.modified_energy_vec(grid, u, tau) == tensor.modified_energy(
         grid, col, tau, tensor.potential
     )
-    step = tensor.strang_step(grid, col, tau, tensor.nonlinear_propagate, False)
+    step = tensor.strang_step(grid, col, tau, tensor.nonlinear_propagate)
     assert np.array_equal(vector.strang_step_vec(grid, u, tau), step[..., 0])
     evolved = tensor.strang_evolve(grid, col, tau, 3, tensor.nonlinear_propagate)
     assert np.array_equal(vector.strang_evolve_vec(grid, u, tau, 3), evolved[..., 0])
@@ -114,3 +114,57 @@ def test_vector_wrappers_equal_tensor_functions_on_column_view():
 def test_smooth_ic_rejects_negative_kcut():
     with pytest.raises(ValueError, match="kcut"):
         tensor.smooth_random_ic(TorusGrid(1, 8), (2, 1), 1.0, seed=0, kcut=-3)
+
+
+# ---------------------------------------------------------------------------
+# large t: the overflow-free forms
+
+
+@pytest.mark.parametrize("tau", np.logspace(-4, 1, 21))
+def test_overflow_free_forms_match_the_direct_ones(tau):
+    # the direct forms e^t / sqrt(expm1(2t) lam + 1) and e^tau / (1 + root),
+    # which overflow beyond tau ~ 354, against the forms the kernel uses
+    lam = np.concatenate([[0.0], np.logspace(-12, 5, 400)])
+    factor = math.exp(tau) / np.sqrt(math.expm1(2 * tau) * lam + 1.0)
+    assert np.all(np.abs(tensor._flow_factor(lam, tau) - factor) <= 8 * EPS * factor)
+    x = math.exp(tau) / (1.0 + np.sqrt(1.0 + math.expm1(2 * tau) * lam))
+    direct = (lam / tau) * (0.5 - x)
+    assert np.all(np.abs(tensor.g_scalar(lam, tau) - direct) <= 8 * EPS * (lam / tau) * np.maximum(x, 0.5))
+
+
+def test_flow_at_large_t_is_the_polar_factor():
+    import warnings
+
+    rng = np.random.Generator(np.random.Philox(7))
+    a = rng.standard_normal((3, 3))
+    u, _, vt = np.linalg.svd(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.max(np.abs(tensor.nonlinear_propagate(a, 500.0) - u @ vt)) <= 1e-12
+        # a zero column stays zero, G(0) stays 0, and nothing is inf or nan
+        assert np.array_equal(tensor.nonlinear_propagate(np.zeros((4, 2, 2)), 500.0), np.zeros((4, 2, 2)))
+        w = np.array([[0.0, 0.0], [3e-3, -4e-3]])[..., None]
+        out = tensor.nonlinear_propagate(w, 1000.0)[..., 0]
+        assert np.array_equal(out[0], [0.0, 0.0]) and np.allclose(out[1], [0.6, -0.8], rtol=1e-15)
+        assert tensor.g_scalar(0.0, 1000.0) == 0.0 and np.isfinite(tensor.g_scalar(2.0, 1000.0))
+        assert np.all(np.isfinite(tensor.gradient(a, 1000.0)))
+
+
+# ---------------------------------------------------------------------------
+# the stepping pipeline's records
+
+
+def test_pipeline_records_hold_field_spectrum_and_half_heat_state():
+    from acsplit.grid import heat_propagate
+
+    grid = TorusGrid(2, 16)
+    u = tensor.smooth_random_ic(grid, (2, 1), 0.8, seed=10)
+    tau = 0.2
+    states = tensor._strang_states(grid, u, tau, tensor.nonlinear_propagate)
+    for n in range(3):
+        record = next(states)
+        field = record.field
+        assert field.shape == u.shape
+        assert np.max(np.abs(record.u_tilde - heat_propagate(grid, field, 0.5 * tau))) <= 1e-14
+        assert np.max(np.abs(record.spectrum - np.fft.rfftn(field, axes=(0, 1)))) <= 1e-12
+        assert np.array_equal(field, tensor.strang_evolve(grid, u, tau, n, tensor.nonlinear_propagate))

@@ -225,16 +225,6 @@ def test_step_constant_unit_field_fixed():
     assert np.max(np.abs(out - u)) <= 1e-14
 
 
-def test_step_with_intermediate_returns_half_heat_state():
-    from acsplit.grid import heat_propagate
-
-    grid = TorusGrid(2, 16)
-    u = smooth_random_ic(grid, 2, 0.8, seed=10)
-    out, u_tilde = strang_step_vec(grid, u, 0.2, with_intermediate=True)
-    assert np.max(np.abs(u_tilde - heat_propagate(grid, u, 0.1))) <= 1e-14
-    assert out.shape == u.shape
-
-
 def test_evolve_matches_repeated_steps():
     grid = TorusGrid(2, 16)
     u0 = smooth_random_ic(grid, 2, 1.5, seed=11)
