@@ -5,8 +5,8 @@ Both models are one tensorial model on m x q matrix fields (q = 1 for
 vectors, q = m for matrices) and split each step into a half heat step, an
 exactly solvable nonlinear flow, and another half heat step.  The package
 also carries the monitoring machinery (maximum-principle and modified-energy
-diagnostics), an RK4 cross-check oracle, and an experiment harness with a
-CLI.
+diagnostics), an RK4 cross-check oracle, an experiment harness with a CLI,
+and the registry of self-checks behind `acsplit verify`.
 """
 
 # Thread-count override: honored only if this runs before numpy is first
@@ -76,16 +76,15 @@ from .harness import (
     EnergyTrace,
     InvariantViolation,
     RunConfig,
-    VerifyReport,
     build_initial,
     convergence_study,
     load_config,
     read_snapshot,
     run_experiment,
     snapshot_info,
-    verify_suite,
     write_snapshot,
 )
+from .verify import VerifyReport, verify_suite
 
 # the names imported above are the package's API; importing them also binds
 # the submodules, which are left out

@@ -92,9 +92,9 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import harness
+    from .verify import verify_suite
 
-    report = harness.verify_suite(args.scope)
+    report = verify_suite(args.scope)
     for line in report.format_lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_INVARIANT

@@ -1,6 +1,6 @@
 """Experiment driver: configuration ingestion, initial-condition registry,
-trajectory runs with energy traces and snapshots, the convergence-study
-fitter, and the self-check suite behind `acsplit verify`.
+trajectory runs with energy traces and snapshots, and the convergence-study
+fitter.  The self-check suite behind `acsplit verify` is acsplit.verify.
 
 On-disk formats
 ---------------
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -41,15 +40,7 @@ import numpy as np
 from . import matrix as mat
 from . import tensor
 from . import vector as vec
-from .grid import (
-    TorusGrid,
-    dissipation_quadratic,
-    dirichlet_energy,
-    forward_transform,
-    heat_propagate,
-    inverse_transform,
-)
-from .oracle import OracleConfig, integrate_matrix_ode, integrate_vector_ode
+from .grid import TorusGrid
 
 __all__ = [
     "ConfigError",
@@ -58,14 +49,11 @@ __all__ = [
     "TraceRow",
     "EnergyTrace",
     "ConvergenceReport",
-    "CheckResult",
-    "VerifyReport",
     "parse_config_text",
     "load_config",
     "build_initial",
     "run_experiment",
     "convergence_study",
-    "verify_suite",
     "write_snapshot",
     "read_snapshot",
     "snapshot_info",
@@ -475,6 +463,20 @@ def snapshot_info(path: str | os.PathLike) -> dict:
 # trajectory driver
 
 
+def _finite_sup(sup_fn: Callable, field: np.ndarray, step: int) -> float:
+    """sup_fn(field), refused when it is not finite: at step 0 from finite
+    entries the field is too large to square (the sup norm and the flow's
+    Gram product both do), a ConfigError; otherwise an InvariantViolation."""
+    with np.errstate(over="ignore"):  # an overflowing square reads as inf, refused below
+        sup = sup_fn(field)
+    if math.isfinite(sup):
+        return sup
+    if step == 0 and np.all(np.isfinite(field)):
+        raise ConfigError("initial field too large: a pointwise norm above "
+                          f"{math.sqrt(np.finfo(np.float64).max):.4g} overflows when squared")
+    raise InvariantViolation(f"non-finite field values at step {step}")
+
+
 def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyTrace:
     """Step the configured model, recording the energy trace each step and
     writing trace/snapshot files when out_dir is set.
@@ -520,9 +522,7 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
     rows: list[TraceRow] = []
 
     def record(step_idx: int, state: tensor.StepRecord, prev_mod: float | None) -> float:
-        sup = sup_fn(state.field)
-        if not np.isfinite(sup):
-            raise InvariantViolation(f"non-finite field values at step {step_idx}")
+        sup = _finite_sup(sup_fn, state.field, step_idx)
         e_std = e_std_fn(grid, state)
         e_mod = e_mod_fn(grid, state, cfg.tau)
         if out_dir is not None and cfg.snapshot_every > 0 and (
@@ -604,6 +604,7 @@ def convergence_study(
     ref_tau = taus[-1] / 64.0
     grid = TorusGrid(cfg.d, cfg.n)
     u0 = build_initial(cfg, grid)
+    _finite_sup(tensor.sup_norm, u0.reshape(grid.shape + (cfg.m, -1)), 0)
     evolve = vec.strang_evolve_vec if cfg.model == "vector" else mat.strang_evolve_mat
 
     ref = evolve(grid, u0, ref_tau, _steps_for(t_final, ref_tau))
@@ -621,462 +622,3 @@ def convergence_study(
     return ConvergenceReport(
         taus=taus, errors=errors, rates=rates, reference_tau=ref_tau, t_final=t_final
     )
-
-
-# ---------------------------------------------------------------------------
-# verify suite
-
-
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
-
-
-@dataclass
-class VerifyReport:
-    results: list[CheckResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def format_lines(self) -> list[str]:
-        lines = []
-        for r in self.results:
-            status = "PASS" if r.ok else "FAIL"
-            lines.append(f"{status}  {r.name}  ({r.seconds:.2f}s)  {r.detail}")
-        lines.append(
-            f"{'OK' if self.passed else 'FAILED'}: "
-            f"{sum(r.ok for r in self.results)}/{len(self.results)} checks passed"
-        )
-        return lines
-
-
-def _random_orthogonal(rng, m: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((m, m)))
-    return q * np.sign(np.diagonal(r))
-
-
-def _trajectory(model: str, m: int, tau: float, steps: int, ic: str, seed: int, **ic_params):
-    """The monitored run of `acsplit run` on a 32^2 grid, any tau without a warning."""
-    return run_experiment(RunConfig(model, d=2, n=32, m=m, tau=tau, steps=steps, ic=ic,
-                                    ic_params=ic_params, seed=seed, threshold_policy="ignore"))
-
-
-def _worst_sup_excess(trace: EnergyTrace, floor: float) -> float:
-    """Worst one-step sup_{n+1} - max(floor, sup_n) along the trace."""
-    sup = trace.column("sup_norm")
-    return float(np.max(sup[1:] - np.maximum(floor, sup[:-1])))
-
-
-def _relative_rises(trace: EnergyTrace) -> np.ndarray:
-    """One-step relative rises (E_{n+1} - E_n) / |E_n| of the modified energy."""
-    energy = trace.column("energy_modified")
-    return np.diff(energy) / np.abs(energy[:-1])
-
-
-# each check returns (ok, detail)
-
-def _check_core_roundtrip():
-    grid = TorusGrid(2, 32)
-    rng = np.random.Generator(np.random.Philox(10))
-    f = rng.standard_normal(grid.shape)
-    back = inverse_transform(grid, forward_transform(grid, f))
-    err = np.max(np.abs(back - f)) / np.max(np.abs(f))
-    g1 = TorusGrid(1, 16)
-    c = forward_transform(g1, np.cos(g1.nodes))
-    mode_err = max(abs(c[1] - 0.5), abs(c[-1] - 0.5))
-    ok = err <= 1e-12 and mode_err <= 1e-12
-    return ok, f"round-trip rel err {err:.2e}; cos(x) mode defect {mode_err:.2e}"
-
-
-def _check_core_parseval():
-    grid = TorusGrid(2, 32)
-    rng = np.random.Generator(np.random.Philox(11))
-    f = rng.standard_normal(grid.shape)
-    lhs = grid.cell_volume * np.sum(f * f)
-    c = forward_transform(grid, f)
-    rhs = grid.volume * np.sum(c.real**2 + c.imag**2)
-    err = abs(lhs - rhs) / abs(lhs)
-    return err <= 1e-12, f"Parseval rel defect {err:.2e}"
-
-
-def _check_core_heat_contraction():
-    # band-limited random data: the discrete kernel's small negative lobes on
-    # under-resolved scales make rough data overshoot slightly (see README)
-    grid = TorusGrid(2, 32)
-    worst = -np.inf
-    for i, t in enumerate((0.01, 1.0, 10.0)):
-        f = vec.smooth_random_ic(grid, 1, 1.0, seed=20 + i, kcut=4)[..., 0]
-        growth = np.max(np.abs(heat_propagate(grid, f, t))) - np.max(np.abs(f))
-        worst = max(worst, growth)
-    return worst <= 1e-12, f"worst sup-norm growth {worst:+.2e}"
-
-
-def _check_core_heat_mean():
-    grid = TorusGrid(2, 32)
-    rng = np.random.Generator(np.random.Philox(21))
-    f = rng.standard_normal(grid.shape)
-    worst = max(
-        abs(np.mean(heat_propagate(grid, f, t)) - np.mean(f)) for t in (0.01, 1.0, 10.0)
-    )
-    return worst <= 1e-13, f"worst mean drift {worst:.2e}"
-
-
-def _check_core_quadratic_limit():
-    grid = TorusGrid(2, 32)
-    f = vec.smooth_random_ic(grid, 1, 1.0, seed=22, kcut=3)[..., 0]
-    c = forward_transform(grid, f)
-    target = dirichlet_energy(grid, c)
-    defects = [
-        abs(dissipation_quadratic(grid, c, t) / (2.0 * t) - target) for t in (1e-2, 1e-3)
-    ]
-    ratio = defects[0] / defects[1]
-    ok = 5.0 <= ratio <= 20.0
-    return ok, f"O(tau) defect ratio at tau 1e-2/1e-3: {ratio:.2f} (expect ~10)"
-
-
-def _check_vec_max_principle():
-    worst = max(
-        _worst_sup_excess(_trajectory("vector", 2, tau, 25, "smooth", 30, sup=sup0, kcut=4), 1.0)
-        for sup0 in (0.8, 2.0)
-        for tau in (1e-4, 0.1, 1.0, 10.0)
-    )
-    return worst <= 1e-12, f"worst sup excess {worst:+.2e}"
-
-
-def _check_vec_sn_semigroup():
-    rng = np.random.Generator(np.random.Philox(31))
-    w = rng.standard_normal((500, 3)) * 2.0
-    a = vec.nonlinear_propagate_vec(vec.nonlinear_propagate_vec(w, 0.3), 0.9)
-    b = vec.nonlinear_propagate_vec(w, 1.2)
-    err = np.max(np.abs(a - b))
-    return err <= 1e-12, f"S_N(0.9)S_N(0.3) vs S_N(1.2): max err {err:.2e}"
-
-
-def _check_vec_norm_identity():
-    rng = np.random.Generator(np.random.Philox(32))
-    w = rng.standard_normal((10_000, 3)) * 1.5
-    t = 0.7
-    nsq = np.sum(w * w, axis=-1)
-    predicted = np.exp(2 * t) * nsq / (np.expm1(2 * t) * nsq + 1.0)
-    got = np.sum(vec.nonlinear_propagate_vec(w, t) ** 2, axis=-1)
-    err = np.max(np.abs(got - predicted) / np.maximum(1.0, predicted))
-    return err <= 1e-12, f"norm identity max rel err {err:.2e}"
-
-
-def _check_vec_energy_monotone():
-    cases = [("smooth", 33, {"sup": 2.0, "kcut": 4}), ("random_direction", 34, {"magnitude": 0.8})]
-    worst = max(
-        float(_relative_rises(_trajectory("vector", 2, tau, 20, ic, seed, **params)).max())
-        for ic, seed, params in cases
-        for tau in (1e-4, 0.1, 1.0, 10.0)
-    )
-    return worst <= DISSIPATION_REL_TOL, f"worst relative energy increase {worst:+.2e}"
-
-
-def _check_vec_oracle():
-    rng = np.random.Generator(np.random.Philox(35))
-    worst = 0.0
-    for t in (0.1, 0.5, 1.0, 2.0):
-        w = rng.standard_normal((250, 3))
-        w *= (3.0 * rng.random((250, 1))) / np.linalg.norm(w, axis=-1, keepdims=True)
-        ref = integrate_vector_ode(w, t)
-        err = np.max(np.abs(vec.nonlinear_propagate_vec(w, t) - ref))
-        worst = max(worst, err)
-    return worst <= 1e-8, f"closed form vs RK4 max err {worst:.2e} (1000 cases)"
-
-
-def _check_vec_gradient_fd():
-    rng = np.random.Generator(np.random.Philox(36))
-    h = 1e-5
-    worst = 0.0
-    for tau in (0.01, 1.0):
-        for _ in range(50):
-            w = rng.standard_normal(3) * 1.5
-            g = vec.g_gradient_vec(w, tau)
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = h
-                fd = (vec.g_potential_vec(w + e, tau) - vec.g_potential_vec(w - e, tau)) / (2 * h)
-                worst = max(worst, abs(fd - g[i]))
-    return worst <= 1e-6, f"gradient vs central differences: max abs err {worst:.2e}"
-
-
-def _check_vec_equivariance():
-    rng = np.random.Generator(np.random.Philox(37))
-    r = _random_orthogonal(rng, 3)
-    w = rng.standard_normal((200, 3)) * 2.0
-    a = vec.nonlinear_propagate_vec(w @ r.T, 0.8)
-    b = vec.nonlinear_propagate_vec(w, 0.8) @ r.T
-    err = np.max(np.abs(a - b))
-    return err <= 1e-13, f"rotation equivariance max err {err:.2e}"
-
-
-def _check_vec_concavity():
-    rng = np.random.Generator(np.random.Philox(38))
-    ok = True
-    for tau in (0.01, 1.0):
-        u = rng.standard_normal((10_000, 3))
-        v = rng.standard_normal((10_000, 3))
-        u *= (2.0 * rng.random((10_000, 1))) / np.linalg.norm(u, axis=-1, keepdims=True)
-        v *= (2.0 * rng.random((10_000, 1))) / np.linalg.norm(v, axis=-1, keepdims=True)
-        ok = ok and vec.concavity_inequality_check_vec(u, v, tau)
-    return ok, "concavity inequality on 2x10^4 random pairs"
-
-
-def _check_mat_max_principle():
-    worst = max(
-        _worst_sup_excess(_trajectory("matrix", m, tau, 20, "smooth", 40, sup=r, kcut=4), r)
-        for m, r in ((2, math.sqrt(2)), (3, math.sqrt(3)))
-        for tau in (0.01, 0.1, 1.0, 10.0)
-    )
-    return worst <= 1e-12, f"worst Frobenius sup excess {worst:+.2e}"
-
-
-def _check_mat_sn_semigroup():
-    rng = np.random.Generator(np.random.Philox(41))
-    a = rng.standard_normal((300, 3, 3))
-    x = mat.nonlinear_propagate_mat(mat.nonlinear_propagate_mat(a, 0.4), 0.6)
-    y = mat.nonlinear_propagate_mat(a, 1.0)
-    err = np.max(np.abs(x - y))
-    return err <= 1e-12, f"S_N(0.6)S_N(0.4) vs S_N(1.0): max err {err:.2e}"
-
-
-def _check_mat_oracle():
-    rng = np.random.Generator(np.random.Philox(42))
-    worst = 0.0
-    cases = 0
-    for m in (2, 3, 4):
-        for t in (0.25, 1.0):
-            a = rng.standard_normal((167, m, m))
-            norms = np.sqrt(np.sum(a * a, axis=(-2, -1), keepdims=True))
-            a *= (2.0 * math.sqrt(m) * rng.random((167, 1, 1))) / norms
-            ref = integrate_matrix_ode(a, t)
-            err = np.max(np.abs(mat.nonlinear_propagate_mat(a, t) - ref))
-            worst = max(worst, err)
-            cases += a.shape[0]
-    return worst <= 1e-8, f"closed form vs RK4 max err {worst:.2e} ({cases} cases)"
-
-
-def _check_mat_fixed_point():
-    grid = TorusGrid(2, 16)
-    rng = np.random.Generator(np.random.Philox(43))
-    q = _random_orthogonal(rng, 3)
-    u = np.broadcast_to(q, grid.shape + (3, 3)).copy()
-    worst = max(
-        np.max(np.abs(mat.strang_step_mat(grid, u, tau) - u)) for tau in (0.01, 1.0, 10.0)
-    )
-    return worst <= 1e-14, f"constant orthogonal drift {worst:.2e}"
-
-
-def _check_mat_equivariance():
-    rng = np.random.Generator(np.random.Philox(44))
-    q = _random_orthogonal(rng, 3)
-    r = _random_orthogonal(rng, 3)
-    a = rng.standard_normal((200, 3, 3))
-    x = mat.nonlinear_propagate_mat(q @ a @ r, 0.7)
-    y = q @ mat.nonlinear_propagate_mat(a, 0.7) @ r
-    err = np.max(np.abs(x - y))
-    return err <= 1e-12, f"orthogonal equivariance max err {err:.2e}"
-
-
-def _check_mat_frobenius_bound():
-    rng = np.random.Generator(np.random.Philox(45))
-    m = 3
-    b = rng.standard_normal((10_000, m, m))
-    norms = np.sqrt(np.sum(b * b, axis=(-2, -1), keepdims=True))
-    b *= (math.sqrt(m) * rng.random((10_000, 1, 1))) / norms
-    out = mat.nonlinear_propagate_mat(b, 0.5)
-    worst = np.max(np.sqrt(np.sum(out * out, axis=(-2, -1)))) - math.sqrt(m)
-    return worst <= 1e-12, f"max ||S_N B||_F - sqrt(m) = {worst:+.2e} on 10^4 draws"
-
-
-def _check_mat_energy_monotone():
-    """Modified-energy dissipation wherever the step-size bound certifies it.
-
-    Candidate trajectories at several tau are filtered by threshold_check;
-    runs whose tau violates the bound are skipped, since the bound is
-    sufficient-only and promises nothing there.  Raising
-    DISSIPATION_THRESHOLD admits the large-tau candidates, so the monitor
-    then actually exercises the uncertified regime; the detail string
-    reports certified/skipped/failed counts either way.
-    """
-    m = 2
-    candidates = [(0.01, "polar_star", {}), (0.01, "polar_stripe", {}),
-                  (1.0, "split_noise", {"lo": 0.05, "hi": 300.0}), (1.0, "polar_star", {})]
-    rises = [
-        _relative_rises(_trajectory("matrix", m, tau, 30, ic, 46, **params))
-        for tau, ic, params in candidates
-        if mat.threshold_check(tau, m).satisfied
-    ]
-    worst = max((float(r.max()) for r in rises), default=-np.inf)
-    bad_steps = sum(int(np.sum(r > DISSIPATION_REL_TOL)) for r in rises)
-    return bad_steps == 0 and len(rises) > 0, (
-        f"{len(rises)} certified trajectories, {len(candidates) - len(rises)} skipped by "
-        f"threshold, {bad_steps} dissipation-flag failures, worst rel increase {worst:+.2e}"
-    )
-
-
-def _check_mat_taylor():
-    rng = np.random.Generator(np.random.Philox(47))
-    ok = True
-    fd_worst = 0.0
-    for m in (2, 3):
-        tau_max = 0.9 * _threshold_tau(m)
-        for _ in range(5):
-            tau = float(rng.uniform(0.1, 1.0)) * tau_max
-            u0 = rng.standard_normal((1000, m, m))
-            n0 = np.sqrt(np.sum(u0 * u0, axis=(-2, -1), keepdims=True))
-            u0 *= (math.sqrt(m) * rng.random((1000, 1, 1))) / n0
-            target = rng.standard_normal((1000, m, m))
-            nt = np.sqrt(np.sum(target * target, axis=(-2, -1), keepdims=True))
-            target *= (math.sqrt(m) * rng.random((1000, 1, 1))) / nt
-            h = target - u0
-            ok = ok and mat.taylor_inequality_check(u0, h, tau)
-        # derivative vs central differences on a few single matrices
-        for _ in range(20):
-            tau = 0.5 * tau_max
-            u0 = rng.standard_normal((m, m)) * 0.4
-            h = rng.standard_normal((m, m)) * 0.3
-            eps = 1e-5
-            fd = (
-                mat.g_potential_mat(u0 + eps * h, tau)
-                - mat.g_potential_mat(u0 - eps * h, tau)
-            ) / (2 * eps)
-            fd_worst = max(fd_worst, abs(fd - float(mat.g_trace_derivative(u0, h, tau))))
-    ok = ok and fd_worst <= 1e-6
-    return ok, f"10^4 admissible draws; h'(0) vs FD max err {fd_worst:.2e}"
-
-
-def _check_mat_svd_reconstruction():
-    # A = (A V) V^T through the Gram eigenvectors V that the flow uses, where
-    # A V = U diag(sigma) is the scaled left factor of the SVD
-    rng = np.random.Generator(np.random.Philox(48))
-    a = rng.standard_normal((2000, 3, 3)) * 3.0
-    rec = tensor._gram_function(a, np.ones_like)
-    fro = np.sqrt(np.sum(a * a, axis=(-2, -1)))
-    res = np.sqrt(np.sum((rec - a) ** 2, axis=(-2, -1))) / (1.0 + fro)
-    worst = float(np.max(res))
-    return worst <= 1e-12, f"worst reconstruction residual through A^T A {worst:.2e}"
-
-
-def _check_mat_projection():
-    grid = TorusGrid(2, 16)
-    u = mat.polar_ic(grid, "star")
-    out = mat.projection_split_step(grid, u, 0.05)
-    gram = tensor._gram(out) - np.eye(2)
-    worst = float(np.max(np.sqrt(np.sum(gram * gram, axis=(-2, -1)))))
-    return worst <= 1e-10, f"max ||U^T U - I||_F after projection step {worst:.2e}"
-
-
-def _check_harness_determinism(tmp_base: Path):
-    cfg_kwargs = dict(
-        model="vector", d=2, n=16, m=2, tau=0.05, steps=5, ic="smooth",
-        seed=7, snapshot_every=5,
-    )
-    payloads = []
-    for tag in ("a", "b"):
-        out = tmp_base / f"det_{tag}"
-        cfg = RunConfig(out_dir=str(out), **cfg_kwargs)
-        run_experiment(cfg)
-        payloads.append(
-            ((out / "trace.csv").read_bytes(), (out / "snap_000005.snap").read_bytes())
-        )
-    ok = payloads[0] == payloads[1]
-    return ok, "identical config+seed gives bit-identical trace and snapshot"
-
-
-def _check_harness_restart(tmp_base: Path):
-    out = tmp_base / "restart"
-    base = dict(model="matrix", d=2, n=16, m=2, tau=0.05, steps=6, ic="polar_star", seed=3)
-    cfg_full = RunConfig(out_dir=str(out / "full"), snapshot_every=6, **base)
-    run_experiment(cfg_full)
-    half = dict(base, steps=3)
-    cfg_a = RunConfig(out_dir=str(out / "a"), snapshot_every=3, **half)
-    run_experiment(cfg_a)
-    cfg_b = RunConfig(
-        out_dir=str(out / "b"), snapshot_every=3,
-        **{**half, "ic": f"snapshot:{out / 'a' / 'snap_000003.snap'}"},
-    )
-    run_experiment(cfg_b)
-    _, full_final = read_snapshot(out / "full" / "snap_000006.snap")
-    _, chained_final = read_snapshot(out / "b" / "snap_000003.snap")
-    err = float(np.max(np.abs(full_final - chained_final)))
-    return err <= 1e-12, f"2k-step run vs k+k chained via snapshot: max diff {err:.2e}"
-
-
-def verify_suite(scope: str = "all", tmp_dir: str | None = None) -> VerifyReport:
-    """Run the fixed-seed property checks for the requested scope.
-
-    scope 'vector' runs the shared spectral checks plus the vector-model
-    checks (no matrix-module work); 'matrix' the spectral plus matrix-model
-    checks; 'all' everything including the harness IO checks.
-    """
-    if scope not in ("vector", "matrix", "all"):
-        raise ConfigError(f"scope must be vector/matrix/all, got {scope!r}")
-    core = [
-        ("core/transform-round-trip", _check_core_roundtrip),
-        ("core/parseval", _check_core_parseval),
-        ("core/heat-sup-contraction", _check_core_heat_contraction),
-        ("core/heat-mean-preservation", _check_core_heat_mean),
-        ("core/quadratic-form-small-tau-limit", _check_core_quadratic_limit),
-    ]
-    vec_checks = [
-        ("vector/max-principle", _check_vec_max_principle),
-        ("vector/nonlinear-semigroup", _check_vec_sn_semigroup),
-        ("vector/norm-identity", _check_vec_norm_identity),
-        ("vector/modified-energy-monotone", _check_vec_energy_monotone),
-        ("vector/closed-form-vs-rk4", _check_vec_oracle),
-        ("vector/potential-gradient-vs-fd", _check_vec_gradient_fd),
-        ("vector/rotation-equivariance", _check_vec_equivariance),
-        ("vector/concavity-inequality", _check_vec_concavity),
-    ]
-    mat_checks = [
-        ("matrix/max-principle", _check_mat_max_principle),
-        ("matrix/nonlinear-semigroup", _check_mat_sn_semigroup),
-        ("matrix/closed-form-vs-rk4", _check_mat_oracle),
-        ("matrix/orthogonal-fixed-point", _check_mat_fixed_point),
-        ("matrix/orthogonal-equivariance", _check_mat_equivariance),
-        ("matrix/frobenius-ball-invariance", _check_mat_frobenius_bound),
-        ("matrix/modified-energy-monotone", _check_mat_energy_monotone),
-        ("matrix/taylor-inequality", _check_mat_taylor),
-        ("matrix/svd-reconstruction", _check_mat_svd_reconstruction),
-        ("matrix/projection-orthogonality", _check_mat_projection),
-    ]
-    checks: list[tuple[str, Callable]] = list(core)
-    if scope in ("vector", "all"):
-        checks += vec_checks
-    if scope in ("matrix", "all"):
-        checks += mat_checks
-    if scope == "all":
-        import tempfile
-
-        base = Path(tmp_dir) if tmp_dir else Path(tempfile.mkdtemp(prefix="acsplit_verify_"))
-        checks += [
-            ("harness/determinism", lambda: _check_harness_determinism(base)),
-            ("harness/restart-consistency", lambda: _check_harness_restart(base)),
-        ]
-    results = []
-    for name, fn in checks:
-        start = time.perf_counter()
-        try:
-            ok, detail = fn()
-        except Exception as e:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(e).__name__}: {e}"
-        results.append(CheckResult(name, bool(ok), detail, time.perf_counter() - start))
-    return VerifyReport(results)
-
-
-def _threshold_tau(m: int) -> float:
-    """Largest tau with m e^tau (e^{2 tau} - 1) <= threshold, by bisection."""
-    lo, hi = 1e-12, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if m * math.exp(mid) * math.expm1(2.0 * mid) <= mat.DISSIPATION_THRESHOLD:
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -1,13 +1,16 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import acsplit.matrix
+import acsplit.tensor
 import acsplit.vector
-from acsplit import cli, harness
+from acsplit import cli, harness, verify
 from acsplit.grid import TorusGrid
+from acsplit.oracle import integrate_matrix_ode
 from acsplit.harness import (
     ConfigError,
     EnergyTrace,
@@ -21,12 +24,11 @@ from acsplit.harness import (
     read_snapshot,
     run_experiment,
     snapshot_info,
-    verify_suite,
     write_snapshot,
-    _check_mat_energy_monotone,
 )
 from acsplit.matrix import polar_ic
 from acsplit.vector import smooth_random_ic
+from acsplit.verify import verify_suite
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +584,74 @@ def test_convergence_ladder_validation():
 
 
 # ---------------------------------------------------------------------------
-# verify suite
+# verify registry
+
+
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_check_passes(name):
+    ok, detail = verify.CHECKS[name]()
+    assert ok, f"{name}: {detail}"
+
+
+def test_check_names_in_order():
+    assert list(verify.CHECKS) == [
+        "core/transform-round-trip", "core/parseval", "core/heat-sup-contraction",
+        "core/heat-mean-preservation", "core/quadratic-form-small-tau-limit",
+        "vector/max-principle", "vector/nonlinear-semigroup", "vector/norm-identity",
+        "vector/modified-energy-monotone", "vector/closed-form-vs-rk4",
+        "vector/potential-gradient-vs-fd", "vector/rotation-equivariance",
+        "vector/concavity-inequality",
+        "matrix/max-principle", "matrix/nonlinear-semigroup", "matrix/closed-form-vs-rk4",
+        "matrix/orthogonal-fixed-point", "matrix/orthogonal-equivariance",
+        "matrix/frobenius-ball-invariance", "matrix/modified-energy-monotone",
+        "matrix/taylor-inequality", "matrix/svd-reconstruction",
+        "matrix/projection-orthogonality",
+        "harness/determinism", "harness/restart-consistency",
+    ]
+
+
+def test_verify_suite_scopes_by_name_prefix(monkeypatch):
+    def raising():
+        raise RuntimeError("stub broke")
+
+    names = ("core/a", "vector/b", "matrix/c", "harness/d", "core/e")
+    stubs = {name: lambda: (True, "stub") for name in names}
+    stubs["matrix/f"] = raising
+    monkeypatch.setattr(verify, "CHECKS", stubs)
+    report = verify_suite("matrix")
+    assert [r.name for r in report.results] == ["core/a", "matrix/c", "core/e", "matrix/f"]
+    assert re.fullmatch(r"FAIL  matrix/f  \(\d+\.\d\ds\)  raised RuntimeError: stub broke",
+                        report.format_lines()[3])
+    assert [r.name for r in verify_suite("vector").results] == ["core/a", "vector/b", "core/e"]
+    assert [r.name for r in verify_suite("all").results] == list(stubs)
+
+
+@pytest.mark.parametrize("model", ["vector", "matrix"])
+def test_merged_checks_fail_on_a_perturbed_flow(monkeypatch, model):
+    # each merged body passes the true flow and fails one that breaks its
+    # property: a scaled flow leaves the ball and the RK4 solution, a shifted
+    # one is neither equivariant nor a semigroup
+    real = acsplit.tensor.nonlinear_propagate
+
+    def scaled(a, t):
+        return real(a, t) * (1.0 + 1e-6)
+
+    def shifted(a, t):
+        return real(a, t) + 1e-6
+
+    shape = (3, 1) if model == "vector" else (3, 3)
+    oracle = integrate_matrix_ode  # the vector ODE on m x 1 matrices
+    cases = [
+        (verify._semigroup, shifted, (shape, 1.0, 0, 10, (0.4, 0.6, 1.0))),
+        (verify._closed_form, scaled, (oracle, (shape + (2.0,),), 10, 0, (0.25,))),
+        (verify._equivariance, shifted, (shape, 1.0, 0, 0.7, 1e-12, "x")),
+    ]
+    for body, bad, args in cases:
+        assert body(real, *args)[0] and not body(bad, *args)[0], body.__name__
+    args = (model, ((2, 1.0),), (1000.0,), 2, 0)
+    assert verify._max_principle(*args)[0]
+    monkeypatch.setattr(acsplit.tensor, "nonlinear_propagate", scaled)
+    assert not verify._max_principle(*args)[0]
 
 
 def test_verify_scope_validation():
@@ -613,10 +682,10 @@ def test_trace_predicates_match_stepwise_loop():
     trace = run_experiment(cfg)
     sups = [r.sup_norm for r in trace.rows]
     energies = [r.energy_modified for r in trace.rows]
-    assert harness._worst_sup_excess(trace, 1.0) == max(
+    assert verify._worst_sup_excess(trace, 1.0) == max(
         s - max(1.0, p) for p, s in zip(sups, sups[1:])
     )
-    assert harness._relative_rises(trace).tolist() == [
+    assert verify._relative_rises(trace).tolist() == [
         (e - p) / abs(p) for p, e in zip(energies, energies[1:])
     ]
 
@@ -632,7 +701,7 @@ def test_vector_max_principle_check_fails_on_growing_sup(monkeypatch):
         return real(u) + 0.1 * calls["n"]
 
     monkeypatch.setattr(acsplit.vector, "sup_magnitude", growing_sup)
-    ok, detail = harness._check_vec_max_principle()
+    ok, detail = verify.CHECKS["vector/max-principle"]()
     assert not ok
     assert detail == "worst sup excess +4.01e-01"
 
@@ -661,16 +730,8 @@ def test_matrix_energy_check_counts_rising_energy(monkeypatch):
     assert bad > 0
 
 
-def test_verify_matrix_scope_passes():
-    report = verify_suite("matrix")
-    assert report.passed, "\n".join(report.format_lines())
-    names = [r.name for r in report.results]
-    assert any(n.startswith("matrix/") for n in names)
-    assert not any(n.startswith("vector/") for n in names)
-
-
 def _dissipation_counts():
-    ok, detail = _check_mat_energy_monotone()
+    ok, detail = verify.CHECKS["matrix/modified-energy-monotone"]()
     m = re.search(r"(\d+) certified trajectories, (\d+) skipped by threshold, (\d+) dissipation-flag failures", detail)
     assert m, detail
     return ok, tuple(int(g) for g in m.groups())
@@ -789,6 +850,21 @@ def test_cli_converge_ok(tmp_path, capsys):
     assert cli.main(["converge", cfg]) == 0
     out = capsys.readouterr().out
     assert "rate" in out and "reference" in out
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+@pytest.mark.parametrize("model", ["vector", "matrix"])
+def test_cli_field_too_large_to_square_exit_1(tmp_path, capsys, command, model):
+    # finite entries whose pointwise squared norm overflows: a config error
+    # that names the limit, not an overflow warning and an invariant failure
+    cfg = _write_cfg(tmp_path, f"model={model}\nd=1\nn=16\nm=2\nic=smooth:sup=1e200\nsteps=1\n"
+                               "tau_ladder=1/40,1/80\nt_final=0.1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial field too large") and len(err.strip().splitlines()) == 1
+    assert "1.341e+154" in err
 
 
 def test_cli_converge_missing_keys_exit_1(tmp_path, capsys):

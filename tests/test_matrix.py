@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from acsplit.grid import TorusGrid, forward_transform
-from acsplit.oracle import integrate_matrix_ode
 from acsplit.matrix import (
     DISSIPATION_THRESHOLD,
     det_sign_field,
@@ -50,43 +49,6 @@ def test_propagator_fixes_orthogonal_matrices():
         q = _rand_orth(rng, m)
         for t in (0.1, 1.0, 10.0):
             assert np.max(np.abs(nonlinear_propagate_mat(q, t) - q)) <= 1e-14
-
-
-def test_propagator_matches_rk4():
-    rng = np.random.Generator(np.random.Philox(21))
-    for m in (2, 3, 4):
-        for t in (0.25, 1.0):
-            a = rng.standard_normal((150, m, m))
-            a *= 2.0 * math.sqrt(m) * rng.random((150, 1, 1)) / _fro(a)[..., None, None]
-            ref = integrate_matrix_ode(a, t)
-            assert np.max(np.abs(nonlinear_propagate_mat(a, t) - ref)) <= 1e-8
-
-
-def test_propagator_semigroup():
-    rng = np.random.Generator(np.random.Philox(22))
-    a = rng.standard_normal((200, 3, 3))
-    x = nonlinear_propagate_mat(nonlinear_propagate_mat(a, 0.4), 0.6)
-    y = nonlinear_propagate_mat(a, 1.0)
-    assert np.max(np.abs(x - y)) <= 1e-12
-
-
-def test_propagator_orthogonal_equivariance():
-    rng = np.random.Generator(np.random.Philox(23))
-    q = _rand_orth(rng, 3)
-    r = _rand_orth(rng, 3)
-    a = rng.standard_normal((200, 3, 3))
-    x = nonlinear_propagate_mat(q @ a @ r, 0.7)
-    y = q @ nonlinear_propagate_mat(a, 0.7) @ r
-    assert np.max(np.abs(x - y)) <= 1e-12
-
-
-def test_propagator_frobenius_ball_invariant():
-    rng = np.random.Generator(np.random.Philox(24))
-    m = 3
-    b = rng.standard_normal((10_000, m, m))
-    b *= math.sqrt(m) * rng.random((10_000, 1, 1)) / _fro(b)[..., None, None]
-    out = nonlinear_propagate_mat(b, 0.5)
-    assert np.max(_fro(out)) <= math.sqrt(m) + 1e-12
 
 
 def test_propagator_independent_of_svd_branch():
@@ -202,17 +164,6 @@ def test_threshold_validation():
         threshold_check(0.0, 2)
     with pytest.raises(ValueError):
         threshold_check(0.1, 0)
-
-
-def test_taylor_inequality_admissible_draws():
-    rng = np.random.Generator(np.random.Philox(30))
-    for m in (2, 3):
-        tau = 0.5 * 0.43 / (3.0 * m)  # comfortably inside the bound
-        u0 = rng.standard_normal((5000, m, m))
-        u0 *= math.sqrt(m) * rng.random((5000, 1, 1)) / _fro(u0)[..., None, None]
-        target = rng.standard_normal((5000, m, m))
-        target *= math.sqrt(m) * rng.random((5000, 1, 1)) / _fro(target)[..., None, None]
-        assert taylor_inequality_check(u0, target - u0, tau)
 
 
 def test_taylor_inequality_precondition_errors():

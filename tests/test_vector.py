@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from acsplit.grid import TorusGrid
-from acsplit.oracle import integrate_vector_ode
 from acsplit.vector import (
-    concavity_inequality_check_vec,
     g_gradient_vec,
     g_potential_vec,
     g_scalar,
@@ -44,15 +42,6 @@ def test_propagator_unit_sphere_invariant():
         assert np.max(np.abs(nonlinear_propagate_vec(w, t) - w)) <= 1e-13
 
 
-def test_propagator_matches_rk4():
-    rng = np.random.Generator(np.random.Philox(2))
-    for t in (0.1, 0.5, 2.0):
-        w = rng.standard_normal((300, 3))
-        w *= 3.0 * rng.random((300, 1)) / np.linalg.norm(w, axis=-1, keepdims=True)
-        ref = integrate_vector_ode(w, t)
-        assert np.max(np.abs(nonlinear_propagate_vec(w, t) - ref)) <= 1e-8
-
-
 def test_propagator_semigroup():
     rng = np.random.Generator(np.random.Philox(3))
     w = rng.standard_normal((200, 4)) * 2.0
@@ -69,16 +58,6 @@ def test_propagator_norm_identity():
     expected = np.exp(2 * t) * nsq / (np.expm1(2 * t) * nsq + 1.0)
     got = np.sum(nonlinear_propagate_vec(w, t) ** 2, axis=-1)
     assert np.max(np.abs(got - expected) / np.maximum(1.0, expected)) <= 1e-12
-
-
-def test_propagator_rotation_equivariance():
-    rng = np.random.Generator(np.random.Philox(5))
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diagonal(r))
-    w = rng.standard_normal((200, 3)) * 2.0
-    a = nonlinear_propagate_vec(w @ q.T, 0.8)
-    b = nonlinear_propagate_vec(w, 0.8) @ q.T
-    assert np.max(np.abs(a - b)) <= 1e-13
 
 
 def test_propagator_rejects_nonfinite():
@@ -116,20 +95,6 @@ def test_g_scalar_approaches_quartic_well():
     assert 5.0 <= defects[1] / defects[2] <= 20.0
 
 
-def test_gradient_matches_finite_differences():
-    rng = np.random.Generator(np.random.Philox(6))
-    h = 1e-5
-    for tau in (0.01, 1.0):
-        for _ in range(30):
-            w = rng.standard_normal(3) * 1.5
-            grad = g_gradient_vec(w, tau)
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = h
-                fd = (g_potential_vec(w + e, tau) - g_potential_vec(w - e, tau)) / (2 * h)
-                assert abs(fd - grad[i]) <= 1e-6
-
-
 def test_gradient_vanishes_on_unit_sphere():
     # the potential's minimum sits at |w| = 1 for every tau, so the gradient
     # is zero there, and central differences agree
@@ -143,16 +108,6 @@ def test_gradient_vanishes_on_unit_sphere():
             e[i] = h
             fd = (g_potential_vec(w + e, tau) - g_potential_vec(w - e, tau)) / (2 * h)
             assert abs(fd - grad[i]) <= 1e-6
-
-
-def test_concavity_inequality_random_draws():
-    rng = np.random.Generator(np.random.Philox(7))
-    for tau in (0.01, 1.0):
-        u = rng.standard_normal((10_000, 3))
-        v = rng.standard_normal((10_000, 3))
-        u *= 2.0 * rng.random((10_000, 1)) / np.linalg.norm(u, axis=-1, keepdims=True)
-        v *= 2.0 * rng.random((10_000, 1)) / np.linalg.norm(v, axis=-1, keepdims=True)
-        assert concavity_inequality_check_vec(u, v, tau)
 
 
 # ---------------------------------------------------------------------------
