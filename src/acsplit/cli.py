@@ -16,6 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
+
+# importing acsplit.cli has run the package __init__, which loads both
+from . import harness
+from .verify import verify_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,10 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from pathlib import Path
-
-    from . import harness
-
     cfg = harness.load_config(args.config)
     trace = harness.run_experiment(cfg)
     last = trace.rows[-1]
@@ -74,26 +75,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    from pathlib import Path
-
-    from . import harness
-
-    raw = harness.parse_config_text(Path(args.config).read_text())
-    if "tau_ladder" not in raw or "t_final" not in raw:
-        raise harness.ConfigError(
-            "converge needs tau_ladder (comma-separated) and t_final keys"
-        )
-    ladder = [harness._parse_number(s) for s in raw["tau_ladder"].split(",") if s.strip()]
-    t_final = harness._parse_number(raw["t_final"])
-    cfg = harness.build_run_config(raw)
-    report = harness.convergence_study(cfg, ladder, t_final)
-    print(report.format())
+    print(harness.convergence_study(*harness.load_convergence_config(args.config)).format())
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    from .verify import verify_suite
-
     report = verify_suite(args.scope)
     for line in report.format_lines():
         print(line)
@@ -101,15 +87,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    from . import harness
-
     meta = harness.snapshot_info(args.snapshot)
-    for key in ("version", "model", "d", "n", "m", "tau", "step", "endian", "dtype", "layout"):
+    for key in ("version", *harness.SNAPSHOT_KEYS, "min_entry", "max_entry", "sup_norm"):
         if key in meta:
             print(f"{key} = {meta[key]}")
-    print(f"min_entry = {meta['min_entry']!r}")
-    print(f"max_entry = {meta['max_entry']!r}")
-    print(f"sup_norm = {meta['sup_norm']!r}")
     return EXIT_OK
 
 
@@ -119,8 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         # argparse exits 2 on a usage error, which would read as EXIT_INVARIANT
         return EXIT_OK if e.code == 0 else EXIT_CONFIG
-    from . import harness
-
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -19,12 +19,14 @@ trailing axes (vector components, matrix entries) ride along untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "TorusGrid",
+    "geometry_error",
     "forward_transform",
     "inverse_transform",
     "half_spectrum",
@@ -35,44 +37,58 @@ __all__ = [
 ]
 
 
+def geometry_error(d: int, n: int, m: int = 1) -> str | None:
+    """Why a field with d spatial axes of n points and component axes of size
+    m is not on a grid, or None if it is."""
+    if d not in (1, 2, 3):
+        return f"d must be 1, 2 or 3, got {d}"
+    if n < 4 or n % 2 != 0:
+        return f"n must be even and >= 4, got {n}"
+    if m < 1:
+        return f"m must be >= 1, got {m}"
+    return None
+
+
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform periodic grid on [-pi, pi]^d.
-
-    Attributes
-    ----------
-    d : spatial dimension, 1 to 3
-    n : points per axis, even, >= 4
-    """
+    """Uniform periodic grid on [-pi, pi]^d with n points per axis; d and n
+    obey geometry_error."""
 
     d: int
     n: int
-    # cached derived arrays; computed in __post_init__
-    _k2: np.ndarray = field(init=False, repr=False, compare=False)
-    _k2r: np.ndarray = field(init=False, repr=False, compare=False)
-    _wr: np.ndarray = field(init=False, repr=False, compare=False)
-    _phase: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2, or 3, got {self.d}")
-        if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"points per axis must be even and >= 4, got {self.n}")
+        if why := geometry_error(self.d, self.n):
+            raise ValueError(why)
+
+    def _wavenumbers(self, half: bool = False) -> tuple[np.ndarray, ...]:
+        """Per-axis wavenumbers broadcast to the lattice; half: the last axis holds 0..n/2."""
         k1 = (np.fft.fftfreq(self.n) * self.n).astype(np.float64)
-        k = np.ix_(*[k1] * self.d)  # per-axis wavenumbers, broadcast to the lattice
-        k2 = sum(ki**2 for ki in k)
+        return np.ix_(*[k1] * (self.d - 1), np.arange(self.n // 2 + 1.0) if half else k1)
+
+    # derived lattice arrays, each made on first use: |k|^2 on the full and
+    # the half lattice, the half lattice's mode weights and the phase factor
+    @cached_property
+    def _k2(self) -> np.ndarray:
+        return sum(ki**2 for ki in self._wavenumbers())
+
+    @cached_property
+    def _k2r(self) -> np.ndarray:
+        return sum(ki**2 for ki in self._wavenumbers(half=True))
+
+    @cached_property
+    def _wr(self) -> np.ndarray:
+        # a half-lattice mode stands for itself and its conjugate -k, except on
+        # the planes k_last = 0 and n/2, which hold both already
+        wr = np.full(self._k2r.shape, 2.0)
+        wr[..., [0, -1]] = 1.0
+        return wr
+
+    @cached_property
+    def _phase(self) -> np.ndarray:
         # (-1)^(k_1 + ... + k_d): the phase factor between numpy's
         # j=0-at-origin DFT and coefficients anchored at x_0 = -pi
-        phase = 1.0 - 2.0 * (sum(k) % 2)
-        # half-spectrum |k|^2 for the real-input transforms used by the heat
-        # step: the last spatial axis carries frequencies 0..n/2 only
-        k2r = sum(ki**2 for ki in np.ix_(*[k1] * (self.d - 1), np.arange(self.n // 2 + 1.0)))
-        # a half-lattice mode stands for itself and its conjugate -k, except
-        # on the planes k_last = 0 and n/2, which hold both already
-        wr = np.full(k2r.shape, 2.0)
-        wr[..., [0, -1]] = 1.0
-        for name, value in (("_k2", k2), ("_k2r", k2r), ("_wr", wr), ("_phase", phase)):
-            object.__setattr__(self, name, value)
+        return 1.0 - 2.0 * (sum(self._wavenumbers()) % 2)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -2,27 +2,27 @@
 trajectory runs with energy traces and snapshots, and the convergence-study
 fitter.  The self-check suite behind `acsplit verify` is acsplit.verify.
 
-On-disk formats
----------------
-Energy trace: CSV with header
-    step,time,energy_standard,energy_modified,delta_e,sup_norm,dissipation_ok
-one row per step including step 0; floats are written with full round-trip
+Each file format has one definition here, which writes, reads and checks it:
+
+Config file: flat key=value lines; `#` starts a comment.  The keys are
+RunConfig's fields (ic_params excepted), parsed by each field's type with the
+field's default, and for the convergence subcommand _CONVERGE_KEYS (tau_ladder,
+t_final).  Numbers accept fractions ("1/3200").  The ic key is a registry name
+with optional parameters, e.g. `ic=smooth:sup=0.8,kcut=4`, or
+`ic=snapshot:<path>` to resume from a file.
+
+Energy trace: CSV whose header is TraceRow's field names (TRACE_HEADER), one
+row per step including step 0; floats are written with full round-trip
 precision; dissipation_ok is 1/0 and is 0 exactly where the modified energy
 increased by more than the relative tolerance 1e-10.
 
 Snapshot: an ASCII header
     ACSPLIT-SNAPSHOT v1
-    key=value ...
+    key=value ...   (the keys of SNAPSHOT_KEYS, in that order)
     end
 followed by the raw field as little-endian float64, C order, with the
 component/entry axes slowest-varying (a vector field is stored as (m, N, ..),
 a matrix field as (m, m, N, ..)).
-
-Config file: flat key=value lines; `#` starts a comment.  Keys: model, d, n,
-m, tau, steps, ic, seed, out_dir, snapshot_every, threshold_policy, and for
-the convergence subcommand tau_ladder, t_final.  tau values accept fractions
-("1/3200").  The ic key is a registry name with optional parameters, e.g.
-`ic=smooth:sup=0.8,kcut=4`, or `ic=snapshot:<path>` to resume from a file.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
 from . import matrix as mat
 from . import tensor
 from . import vector as vec
-from .grid import TorusGrid
+from .grid import TorusGrid, geometry_error
 
 __all__ = [
     "ConfigError",
@@ -51,6 +51,7 @@ __all__ = [
     "ConvergenceReport",
     "parse_config_text",
     "load_config",
+    "load_convergence_config",
     "build_initial",
     "run_experiment",
     "convergence_study",
@@ -61,10 +62,6 @@ __all__ = [
 
 # relative tolerance for the per-step dissipation flag
 DISSIPATION_REL_TOL = 1e-10
-
-SNAPSHOT_MAGIC = "ACSPLIT-SNAPSHOT"
-SNAPSHOT_VERSION = 1
-TRACE_HEADER = "step,time,energy_standard,energy_modified,delta_e,sup_norm,dissipation_ok"
 
 # number of component axes after the d spatial axes of each model's fields
 COMPONENT_AXES = {"vector": 1, "matrix": 2}
@@ -86,10 +83,34 @@ class SnapshotFormatError(OSError):
 # configuration
 
 
+def _parse_number(s: str) -> float:
+    """Parser for finite floats that also accepts fraction syntax like 1/3200."""
+    s = s.strip()
+    try:
+        value = float(Fraction(s)) if "/" in s else float(s)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad number {s!r}") from e
+    if not math.isfinite(value):
+        raise ConfigError(f"bad number {s!r}: not finite")
+    return value
+
+
+# a config value's parser, by the annotated type of its RunConfig field
+_PARSERS: dict[object, Callable[[str], object]] = {
+    str: str, int: int, float: _parse_number, str | None: lambda s: s or None,
+}
+# the keys only the convergence subcommand reads, with their parsers
+_CONVERGE_KEYS: dict[str, Callable[[str], object]] = {
+    "tau_ladder": lambda s: [_parse_number(t) for t in s.split(",") if t.strip()],
+    "t_final": _parse_number,
+}
+
+
 @dataclass
 class RunConfig:
-    """One trajectory run.  ic is a registry name (see VECTOR_ICS/MATRIX_ICS)
-    or 'snapshot:<path>'; ic_params are its keyword parameters."""
+    """One trajectory run, and the schema of a config file: each field but
+    ic_params is a key.  ic is a registry name (see VECTOR_ICS/MATRIX_ICS) or
+    'snapshot:<path>'; ic_params are its keyword parameters."""
 
     model: str
     d: int = 2
@@ -105,14 +126,10 @@ class RunConfig:
     threshold_policy: str = "warn"
 
     def __post_init__(self):
-        if self.model not in ("vector", "matrix"):
+        if self.model not in COMPONENT_AXES:
             raise ConfigError(f"model must be 'vector' or 'matrix', got {self.model!r}")
-        if self.d not in (1, 2, 3):
-            raise ConfigError(f"d must be 1, 2, or 3, got {self.d}")
-        if self.n < 4 or self.n % 2 != 0:
-            raise ConfigError(f"n must be even and >= 4, got {self.n}")
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
+        if why := geometry_error(self.d, self.n, self.m):
+            raise ConfigError(why)
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
         if self.steps < 0:
@@ -146,18 +163,6 @@ class RunConfig:
                 )
 
 
-def _parse_number(s: str) -> float:
-    """Parser for finite floats that also accepts fraction syntax like 1/3200."""
-    s = s.strip()
-    try:
-        value = float(Fraction(s)) if "/" in s else float(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"bad number {s!r}") from e
-    if not math.isfinite(value):
-        raise ConfigError(f"bad number {s!r}: not finite")
-    return value
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat key=value lines into a dict; '#' comments and blank lines skipped."""
     out: dict[str, str] = {}
@@ -173,13 +178,6 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = val.strip()
     return out
-
-
-_RUN_KEYS = {
-    "model", "d", "n", "m", "tau", "steps", "ic", "seed",
-    "out_dir", "snapshot_every", "threshold_policy",
-}
-_CONVERGE_KEYS = {"tau_ladder", "t_final"}
 
 
 def _parse_ic(text: str) -> tuple[str, dict]:
@@ -204,27 +202,18 @@ def _parse_ic(text: str) -> tuple[str, dict]:
 
 
 def build_run_config(raw: dict[str, str]) -> RunConfig:
-    unknown = set(raw) - _RUN_KEYS - _CONVERGE_KEYS
+    """The RunConfig of a config file's key=value pairs: each value is parsed
+    by its field's type, and a key left out takes the field's default."""
+    parsers = {k: _PARSERS[t] for k, t in get_type_hints(RunConfig).items() if t in _PARSERS}
+    unknown = set(raw) - set(parsers) - set(_CONVERGE_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "model" not in raw:
         raise ConfigError("config key 'model' is required")
-    ic_name, ic_params = _parse_ic(raw.get("ic", ""))
     try:
-        return RunConfig(
-            model=raw["model"],
-            d=int(raw.get("d", "2")),
-            n=int(raw.get("n", "64")),
-            m=int(raw.get("m", "2")),
-            tau=_parse_number(raw.get("tau", "0.01")),
-            steps=int(raw.get("steps", "100")),
-            ic=ic_name,
-            ic_params=ic_params,
-            seed=int(raw.get("seed", "0")),
-            out_dir=raw.get("out_dir") or None,
-            snapshot_every=int(raw.get("snapshot_every", "0")),
-            threshold_policy=raw.get("threshold_policy", "warn"),
-        )
+        values = {key: parsers[key](text) for key, text in raw.items() if key in parsers}
+        values["ic"], values["ic_params"] = _parse_ic(values.get("ic", ""))
+        return RunConfig(**values)
     except ConfigError:
         raise
     except ValueError as e:
@@ -232,8 +221,16 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
-    text = Path(path).read_text()
-    return build_run_config(parse_config_text(text))
+    return build_run_config(parse_config_text(Path(path).read_text()))
+
+
+def load_convergence_config(path: str | os.PathLike) -> tuple[RunConfig, list[float], float]:
+    """A convergence config file: its RunConfig, tau ladder and t_final."""
+    raw = parse_config_text(Path(path).read_text())
+    if not raw.keys() >= _CONVERGE_KEYS.keys():
+        raise ConfigError("converge needs tau_ladder (comma-separated) and t_final keys")
+    ladder, t_final = (parse(raw[key]) for key, parse in _CONVERGE_KEYS.items())
+    return build_run_config(raw), ladder, t_final
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +280,10 @@ def build_initial(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
     """Materialize cfg.ic on the grid (registry entry or snapshot file)."""
     if cfg.ic.startswith("snapshot:"):
         meta, values = read_snapshot(cfg.ic[len("snapshot:"):])
-        if meta["model"] != cfg.model or meta["d"] != cfg.d or meta["n"] != cfg.n or meta["m"] != cfg.m:
-            raise ConfigError(
-                "snapshot geometry does not match config: "
-                f"snapshot has model={meta['model']} d={meta['d']} n={meta['n']} m={meta['m']}"
-            )
+        shared = ("model", "d", "n", "m")
+        if any(meta[k] != getattr(cfg, k) for k in shared):
+            raise ConfigError("snapshot geometry does not match config: snapshot has "
+                              + " ".join(f"{k}={meta[k]}" for k in shared))
         return values
     registry = VECTOR_ICS if cfg.model == "vector" else MATRIX_ICS
     try:
@@ -301,6 +297,8 @@ def build_initial(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
 
 
 class TraceRow(NamedTuple):
+    """One step of a run, and the schema of trace.csv: one column per field."""
+
     step: int
     time: float
     energy_standard: float
@@ -308,6 +306,13 @@ class TraceRow(NamedTuple):
     delta_e: float
     sup_norm: float
     dissipation_ok: bool
+
+
+TRACE_HEADER = ",".join(TraceRow._fields)
+# how a trace cell is written and read, by the annotated type of its field
+_CELLS = {int: (str, int), float: (repr, float),
+          bool: (lambda ok: "1" if ok else "0", lambda s: s.strip() == "1")}
+_TRACE_WRITE, _TRACE_READ = zip(*(_CELLS[kind] for kind in get_type_hints(TraceRow).values()))
 
 
 @dataclass
@@ -322,24 +327,26 @@ class EnergyTrace:
         return np.array([getattr(r, name) for r in self.rows], dtype=np.float64)
 
     def to_csv(self) -> str:
-        lines = [TRACE_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.step},{r.time!r},{r.energy_standard!r},{r.energy_modified!r},"
-                f"{r.delta_e!r},{r.sup_norm!r},{1 if r.dissipation_ok else 0}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = (",".join(write(value) for write, value in zip(_TRACE_WRITE, r)) for r in self.rows)
+        return "\n".join([TRACE_HEADER, *rows]) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "EnergyTrace":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != TRACE_HEADER:
             raise ValueError("missing or wrong trace header")
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            rows.append(TraceRow(int(parts[0]), *map(float, parts[1:6]), parts[6].strip() == "1"))
-        return cls(rows)
+        rows = [zip(_TRACE_READ, ln.split(","), strict=True) for ln in lines[1:]]
+        return cls([TraceRow(*(read(cell) for read, cell in row)) for row in rows])
+
+
+SNAPSHOT_MAGIC = "ACSPLIT-SNAPSHOT"
+SNAPSHOT_VERSION = 1
+# the snapshot header's keys in file order, each with the type its value is
+# parsed to; `acsplit info` prints them in this order
+SNAPSHOT_KEYS = {"model": str, "d": int, "n": int, "m": int, "tau": float, "step": int,
+                 "endian": str, "dtype": str, "layout": str}
+# the encoding lines a reader requires as written
+_ENCODING = {"endian": "little", "dtype": "float64"}
 
 
 def write_snapshot(
@@ -357,23 +364,15 @@ def write_snapshot(
     if model not in COMPONENT_AXES:
         raise ValueError(f"unknown model {model!r}")
     values = np.asarray(values, dtype=np.float64)
-    components = range(grid.d, values.ndim)
-    disk = np.moveaxis(values, components, range(len(components)))
-    header = (
-        f"{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n"
-        f"model={model}\n"
-        f"d={grid.d}\n"
-        f"n={grid.n}\n"
-        f"m={m}\n"
-        f"tau={tau!r}\n"
-        f"step={step}\n"
-        "endian=little\n"
-        "dtype=float64\n"
-        "layout=components-slowest\n"
-        "end\n"
-    )
+    expected = grid.shape + (m,) * COMPONENT_AXES[model]
+    if values.shape != expected:
+        raise ValueError(f"field shape {values.shape} is not the {model} field shape {expected}")
+    disk = np.moveaxis(values, range(grid.d, values.ndim), range(values.ndim - grid.d))
+    meta = {"model": model, "d": grid.d, "n": grid.n, "m": m, "tau": tau, "step": step,
+            **_ENCODING, "layout": "components-slowest"}
+    header = [f"{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}"] + [f"{k}={meta[k]}" for k in SNAPSHOT_KEYS]
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write("\n".join(header + ["end\n"]).encode("ascii"))
         # the buffer itself, not a bytes copy of it: one copy of the field at most
         fh.write(np.ascontiguousarray(disk, dtype="<f8").data)
 
@@ -386,34 +385,25 @@ def _read_snapshot_header(fh) -> dict:
         raise SnapshotFormatError(
             f"unsupported snapshot version {first!r}; expected v{SNAPSHOT_VERSION}"
         )
-    version = first.split("v")[-1]
-    meta: dict = {"version": version}
-    while True:
-        line = fh.readline()
-        if not line:
-            raise SnapshotFormatError("truncated snapshot header")
-        line = line.decode("ascii", errors="replace").rstrip("\n")
+    meta: dict = {"version": str(SNAPSHOT_VERSION)}
+    for raw in iter(fh.readline, b""):
+        line = raw.decode("ascii", errors="replace").rstrip("\n")
         if line == "end":
             break
         if "=" not in line:
             raise SnapshotFormatError(f"bad header line {line!r}")
         k, v = line.split("=", 1)
         meta[k] = v
-    try:
-        meta["d"] = int(meta["d"])
-        meta["n"] = int(meta["n"])
-        meta["m"] = int(meta["m"])
-        meta["tau"] = float(meta["tau"])
-        meta["step"] = int(meta["step"])
+    else:
+        raise SnapshotFormatError("truncated snapshot header")
+    try:  # the numeric keys are required
+        meta.update({k: kind(meta[k]) for k, kind in SNAPSHOT_KEYS.items() if kind is not str})
     except (KeyError, ValueError) as e:
         raise SnapshotFormatError(f"incomplete snapshot header: {e}") from e
-    if meta.get("endian") != "little" or meta.get("dtype") != "float64":
+    if any(meta.get(k) != v for k, v in _ENCODING.items()):
         raise SnapshotFormatError("unsupported snapshot encoding")
-    if meta["d"] not in (1, 2, 3) or meta["n"] < 4 or meta["n"] % 2 or meta["m"] < 1:
-        raise SnapshotFormatError(
-            f"bad snapshot geometry d={meta['d']} n={meta['n']} m={meta['m']}: "
-            "need d in 1..3, even n >= 4 and m >= 1"
-        )
+    if why := geometry_error(meta["d"], meta["n"], meta["m"]):
+        raise SnapshotFormatError(f"bad snapshot geometry: {why}")
     if meta.get("model") not in COMPONENT_AXES:
         raise SnapshotFormatError(f"unknown model {meta.get('model')!r}")
     return meta
@@ -450,7 +440,6 @@ def read_snapshot(path: str | os.PathLike) -> tuple[dict, np.ndarray]:
 def snapshot_info(path: str | os.PathLike) -> dict:
     """Header plus basic field statistics, for `acsplit info`."""
     meta, values = read_snapshot(path)
-    meta = dict(meta)
     meta["min_entry"] = float(values.min())
     meta["max_entry"] = float(values.max())
     # the pointwise Frobenius norm, with the component axes read as m x q matrices
@@ -463,18 +452,27 @@ def snapshot_info(path: str | os.PathLike) -> dict:
 # trajectory driver
 
 
-def _finite_sup(sup_fn: Callable, field: np.ndarray, step: int) -> float:
-    """sup_fn(field), refused when it is not finite: at step 0 from finite
-    entries the field is too large to square (the sup norm and the flow's
-    Gram product both do), a ConfigError; otherwise an InvariantViolation."""
-    with np.errstate(over="ignore"):  # an overflowing square reads as inf, refused below
-        sup = sup_fn(field)
-    if math.isfinite(sup):
-        return sup
-    if step == 0 and np.all(np.isfinite(field)):
-        raise ConfigError("initial field too large: a pointwise norm above "
-                          f"{math.sqrt(np.finfo(np.float64).max):.4g} overflows when squared")
-    raise InvariantViolation(f"non-finite field values at step {step}")
+def _finite_values(step: int, field: np.ndarray, grid: TorusGrid,
+                   quantities: dict[str, Callable[[], float]]) -> list[float]:
+    """Each quantity's value, computed in order and refused when it is not
+    finite: at step 0 from finite entries the field is too large for it, a
+    ConfigError naming the pointwise norm above which it overflows; otherwise
+    an InvariantViolation."""
+    big = np.finfo(np.float64).max
+    # the sup norm squares the pointwise norm, the standard potential squares
+    # the Gram matrix, the modified energy squares spectra summed over n^d nodes
+    limits = {"sup_norm": math.sqrt(big), "energy_standard": big**0.25,
+              "energy_modified": math.sqrt(big) / grid.n**grid.d}
+    values = []
+    for name, compute in quantities.items():
+        with np.errstate(over="ignore"):  # an overflow reads as inf, refused below
+            values.append(compute())
+        if not math.isfinite(values[-1]):
+            if step == 0 and np.all(np.isfinite(field)):
+                raise ConfigError(f"initial field too large: {name} overflows for a pointwise "
+                                  f"norm above about {limits[name]:.4g}")
+            raise InvariantViolation(f"non-finite {name} at step {step}")
+    return values
 
 
 def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyTrace:
@@ -522,9 +520,11 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
     rows: list[TraceRow] = []
 
     def record(step_idx: int, state: tensor.StepRecord, prev_mod: float | None) -> float:
-        sup = _finite_sup(sup_fn, state.field, step_idx)
-        e_std = e_std_fn(grid, state)
-        e_mod = e_mod_fn(grid, state, cfg.tau)
+        sup, e_std, e_mod = _finite_values(step_idx, state.field, grid, {
+            "sup_norm": lambda: sup_fn(state.field),
+            "energy_standard": lambda: e_std_fn(grid, state),
+            "energy_modified": lambda: e_mod_fn(grid, state, cfg.tau),
+        })
         if out_dir is not None and cfg.snapshot_every > 0 and (
             step_idx % cfg.snapshot_every == 0 or step_idx == cfg.steps
         ):
@@ -604,7 +604,8 @@ def convergence_study(
     ref_tau = taus[-1] / 64.0
     grid = TorusGrid(cfg.d, cfg.n)
     u0 = build_initial(cfg, grid)
-    _finite_sup(tensor.sup_norm, u0.reshape(grid.shape + (cfg.m, -1)), 0)
+    fields = u0.reshape(grid.shape + (cfg.m, -1))
+    _finite_values(0, u0, grid, {"sup_norm": lambda: tensor.sup_norm(fields)})
     evolve = vec.strang_evolve_vec if cfg.model == "vector" else mat.strang_evolve_mat
 
     ref = evolve(grid, u0, ref_tau, _steps_for(t_final, ref_tau))

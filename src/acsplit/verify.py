@@ -88,11 +88,11 @@ def _relative_rises(trace: EnergyTrace) -> np.ndarray:
 
 
 def _threshold_tau(m: int) -> float:
-    """Largest tau with m e^tau (e^{2 tau} - 1) <= threshold, by bisection."""
+    """Largest tau that satisfies mat.threshold_check, by bisection."""
     lo, hi = 1e-12, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if m * math.exp(mid) * math.expm1(2.0 * mid) <= mat.DISSIPATION_THRESHOLD:
+        if mat.threshold_check(mid, m).satisfied:
             lo = mid
         else:
             hi = mid

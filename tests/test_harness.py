@@ -14,6 +14,7 @@ from acsplit.oracle import integrate_matrix_ode
 from acsplit.harness import (
     ConfigError,
     EnergyTrace,
+    InvariantViolation,
     RunConfig,
     SnapshotFormatError,
     TRACE_HEADER,
@@ -181,6 +182,29 @@ def test_polar_ic_requires_m2():
             build_initial(cfg, TorusGrid(d, 8))
 
 
+def test_config_keys_are_run_config_fields():
+    # every RunConfig field but ic_params is a config key, read by its type
+    cfg = build_run_config({"model": "vector", "d": "1", "n": "8", "m": "3", "tau": "1/8",
+                            "steps": "2", "ic": "zero", "seed": "4", "out_dir": "runs",
+                            "snapshot_every": "1", "threshold_policy": "ignore"})
+    assert cfg == RunConfig(model="vector", d=1, n=8, m=3, tau=0.125, steps=2, ic="zero",
+                            seed=4, out_dir="runs", snapshot_every=1, threshold_policy="ignore")
+    assert build_run_config({"model": "vector", "out_dir": ""}) == RunConfig(model="vector")
+    with pytest.raises(ConfigError, match="ic_params"):
+        build_run_config({"model": "vector", "ic_params": "sup=1"})
+
+
+def test_load_convergence_config(tmp_path):
+    path = tmp_path / "ladder.cfg"
+    path.write_text("model=vector\nd=1\nn=8\ntau_ladder = 1/10, 1/20,\nt_final=0.5\n")
+    cfg, ladder, t_final = harness.load_convergence_config(path)
+    assert (cfg, ladder, t_final) == (RunConfig(model="vector", d=1, n=8), [0.1, 0.05], 0.5)
+    for text in ("model=vector\nt_final=1\n", "model=vector\ntau_ladder=1/x\nt_final=1\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            harness.load_convergence_config(path)
+
+
 # ---------------------------------------------------------------------------
 # trace
 
@@ -192,6 +216,13 @@ def test_trace_csv_round_trip():
     assert text.splitlines()[0] == TRACE_HEADER
     back = EnergyTrace.from_csv(text)
     assert back.rows == trace.rows  # full round-trip precision
+
+
+def test_trace_csv_refuses_a_row_of_the_wrong_width():
+    text = TRACE_HEADER + "\n0,0.0,1.0,1.0,0.0,0.5,1\n"
+    assert EnergyTrace.from_csv(text).rows[0].dissipation_ok
+    with pytest.raises(ValueError):
+        EnergyTrace.from_csv(text.replace(",1\n", "\n"))
 
 
 def test_trace_rows_and_flags():
@@ -268,6 +299,33 @@ def test_snapshot_layout_components_slowest(tmp_path):
     payload = blob.split(b"end\n", 1)[1]
     disk = np.frombuffer(payload, dtype="<f8").reshape(2, 4)
     assert np.array_equal(disk, u.T)
+
+
+def test_snapshot_header_follows_the_key_table(tmp_path):
+    # numpy scalars are written as plain numbers, which the reader parses
+    grid = TorusGrid(1, 4)
+    path = tmp_path / "v.snap"
+    write_snapshot(path, np.zeros((4, 2)), model="vector", grid=grid, m=np.int64(2),
+                   tau=np.float64(0.1), step=np.int64(3))
+    lines = path.read_bytes().split(b"end\n", 1)[0].decode("ascii").splitlines()
+    assert lines[0] == "ACSPLIT-SNAPSHOT v1"
+    assert [line.split("=")[0] for line in lines[1:]] == list(harness.SNAPSHOT_KEYS)
+    meta, _ = read_snapshot(path)
+    assert {k: meta[k] for k in harness.SNAPSHOT_KEYS} == {
+        "model": "vector", "d": 1, "n": 4, "m": 2, "tau": 0.1, "step": 3, "endian": "little",
+        "dtype": "float64", "layout": "components-slowest"}
+
+
+@pytest.mark.parametrize("model, shape", [("vector", (8, 8, 2, 2)), ("vector", (4, 4, 2)),
+                                          ("matrix", (8, 8, 2)), ("matrix", (8, 8, 3, 3))])
+def test_write_snapshot_refuses_a_field_of_another_shape(tmp_path, model, shape):
+    # a field whose shape is not the model's on this grid and m would be
+    # written as a file the reader refuses
+    path = tmp_path / "bad.snap"
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        write_snapshot(path, np.zeros(shape), model=model, grid=TorusGrid(2, 8), m=2, tau=0.1,
+                       step=0)
+    assert not path.exists()
 
 
 def test_snapshot_info_stats(tmp_path):
@@ -545,6 +603,40 @@ def test_large_tau_runs_stay_finite():
             assert trace.dissipation_all_ok
             assert all(np.isfinite(trace.column(c)).all() for c in ("energy_standard", "energy_modified"))
             assert trace.rows[-1].sup_norm == pytest.approx(sup, rel=1e-12)
+
+
+def test_runs_leave_the_grid_phase_unbuilt(monkeypatch):
+    # only forward_transform/inverse_transform read the phase factor, and no
+    # run calls them; a fresh grid builds it only when asked
+    grids = []
+
+    def fresh_grid(d, n):
+        grids.append(TorusGrid(d, n))
+        return grids[-1]
+
+    monkeypatch.setattr(harness, "TorusGrid", fresh_grid)
+    cfg = RunConfig(**PIPELINE_CASES["vector3d"])
+    run_experiment(cfg)
+    bare = TorusGrid(cfg.d, cfg.n)
+    acsplit.vector.strang_evolve_vec(bare, build_initial(cfg, grids[0]), cfg.tau, cfg.steps)
+    assert len(grids) == 1
+    assert "_phase" not in vars(grids[0]) and "_phase" not in vars(bare)
+    fresh = TorusGrid(cfg.d, cfg.n)
+    assert np.array_equal(fresh._phase, (-1.0) ** np.sum(np.indices(fresh.shape), axis=0))
+
+
+def test_nonfinite_energy_after_step_0_is_an_invariant_violation(monkeypatch):
+    real = acsplit.vector.standard_energy_vec
+    calls = []
+
+    def energy(grid, u):
+        calls.append(None)
+        return real(grid, u) if len(calls) == 1 else math.inf
+
+    monkeypatch.setattr(acsplit.vector, "standard_energy_vec", energy)
+    cfg = RunConfig(model="vector", d=1, n=8, m=2, tau=0.1, steps=2, ic="smooth")
+    with pytest.raises(InvariantViolation, match="energy_standard at step 1"):
+        run_experiment(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +957,20 @@ def test_cli_field_too_large_to_square_exit_1(tmp_path, capsys, command, model):
     err = capsys.readouterr().err
     assert err.startswith("error: initial field too large") and len(err.strip().splitlines()) == 1
     assert "1.341e+154" in err
+
+
+@pytest.mark.parametrize("model", ["vector", "matrix"])
+def test_cli_run_energy_too_large_exit_1(tmp_path, capsys, model):
+    # a finite sup norm whose standard energy overflows: the Gram matrix is
+    # squared, so the limit is the fourth root of the largest double
+    cfg = _write_cfg(tmp_path, f"model={model}\nd=1\nn=16\nm=2\nic=smooth:sup=1e100\nsteps=1\n"
+                               "threshold_policy=ignore\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial field too large") and len(err.strip().splitlines()) == 1
+    assert "energy_standard" in err and "1.158e+77" in err
 
 
 def test_cli_converge_missing_keys_exit_1(tmp_path, capsys):
