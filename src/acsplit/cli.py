@@ -38,17 +38,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one trajectory from a config file")
     p_run.add_argument("config", help="path to a key=value config file")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_conv = sub.add_parser("converge", help="run a step-size convergence study")
     p_conv.add_argument("config", help="config file with tau_ladder and t_final keys")
+    p_conv.set_defaults(handler=_cmd_converge)
 
     p_ver = sub.add_parser("verify", help="run the property-check suite")
     p_ver.add_argument(
         "scope", nargs="?", default="all", choices=("vector", "matrix", "all")
     )
+    p_ver.set_defaults(handler=_cmd_verify)
 
     p_info = sub.add_parser("info", help="describe a snapshot file")
     p_info.add_argument("snapshot", help="path to a snapshot file")
+    p_info.set_defaults(handler=_cmd_info)
     return p
 
 
@@ -89,8 +93,7 @@ def _cmd_verify(args) -> int:
 def _cmd_info(args) -> int:
     meta = harness.snapshot_info(args.snapshot)
     for key in ("version", *harness.SNAPSHOT_KEYS, "min_entry", "max_entry", "sup_norm"):
-        if key in meta:
-            print(f"{key} = {meta[key]}")
+        print(f"{key} = {meta[key]}")
     return EXIT_OK
 
 
@@ -101,15 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on a usage error, which would read as EXIT_INVARIANT
         return EXIT_OK if e.code == 0 else EXIT_CONFIG
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "converge":
-            return _cmd_converge(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "info":
-            return _cmd_info(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.handler(args)
     except harness.ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

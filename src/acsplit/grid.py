@@ -69,7 +69,8 @@ class TorusGrid:
     # derived lattice arrays, each made on first use: |k|^2 on the full and
     # the half lattice, the half lattice's mode weights and the phase factor
     @cached_property
-    def _k2(self) -> np.ndarray:
+    def wavenumbers_squared(self) -> np.ndarray:
+        """|k|^2 on the full wavenumber lattice, shape self.shape."""
         return sum(ki**2 for ki in self._wavenumbers())
 
     @cached_property
@@ -115,11 +116,6 @@ class TorusGrid:
     def meshes(self) -> tuple[np.ndarray, ...]:
         """d coordinate arrays of shape self.shape ('ij' indexing)."""
         return tuple(np.meshgrid(*([self.nodes] * self.d), indexing="ij"))
-
-    @property
-    def wavenumbers_squared(self) -> np.ndarray:
-        """|k|^2 on the full wavenumber lattice, shape self.shape."""
-        return self._k2
 
     def _broadcast(self, mult: np.ndarray, field_ndim: int) -> np.ndarray:
         """Reshape a spectral multiplier to broadcast over trailing axes."""
@@ -196,7 +192,7 @@ def _spectral_sum(grid: TorusGrid, coeffs: np.ndarray, symbol) -> float:
         mult = grid._wr * symbol(grid._k2r) / float(grid.n) ** (2 * grid.d)
     else:
         _check_field(grid, coeffs)
-        mult = symbol(grid._k2)
+        mult = symbol(grid.wavenumbers_squared)
     pairs = coeffs.reshape(coeffs.shape[: grid.d] + (-1,)).view(np.float64)
     power = np.einsum("...i,...i->...", pairs, pairs)  # |c|^2 summed over trailing axes
     return float(grid.volume * np.sum(mult * power))

@@ -8,7 +8,7 @@ Config file: flat key=value lines; `#` starts a comment.  The keys are
 RunConfig's fields (ic_params excepted), parsed by each field's type with the
 field's default, and for the convergence subcommand _CONVERGE_KEYS (tau_ladder,
 t_final).  Numbers accept fractions ("1/3200").  The ic key is a registry name
-with optional parameters, e.g. `ic=smooth:sup=0.8,kcut=4`, or
+with optional float parameters, e.g. `ic=smooth:sup=0.8,kcut=4`, or
 `ic=snapshot:<path>` to resume from a file.
 
 Energy trace: CSV whose header is TraceRow's field names (TRACE_HEADER), one
@@ -18,7 +18,7 @@ increased by more than the relative tolerance 1e-10.
 
 Snapshot: an ASCII header
     ACSPLIT-SNAPSHOT v1
-    key=value ...   (the keys of SNAPSHOT_KEYS, in that order)
+    key=value ...   (the keys of SNAPSHOT_KEYS, in that order, and no others)
     end
 followed by the raw field as little-endian float64, C order, with the
 component/entry axes slowest-varying (a vector field is stored as (m, N, ..),
@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple, get_type_hints
+from typing import Callable, ClassVar, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -197,7 +197,7 @@ def _parse_ic(text: str) -> tuple[str, dict]:
                 num = _parse_number(v)
             except ConfigError as e:
                 raise ConfigError(f"bad ic parameter value {v!r} in {text!r}") from e
-            params[k.strip()] = int(num) if num == int(num) and "." not in v and "/" not in v else num
+            params[k.strip()] = num
     return name.strip(), params
 
 
@@ -241,8 +241,8 @@ def _shared_ics(axes: int, default_sup: Callable[[int], float]) -> dict[str, Cal
     """The entries both models have, on fields with `axes` component axes of size m."""
     return {
         "zero": lambda grid, m, seed: np.zeros(grid.shape + (m,) * axes),
-        "smooth": lambda grid, m, seed, sup=None, kcut=4: tensor.smooth_random_ic(
-            grid, (m,) * axes, default_sup(m) if sup is None else sup, seed, kcut
+        "smooth": lambda grid, m, seed, sup=None, **params: tensor.smooth_random_ic(
+            grid, (m,) * axes, default_sup(m) if sup is None else sup, seed, **params
         ),
     }
 
@@ -252,8 +252,8 @@ VECTOR_ICS: dict[str, Callable] = {
     "random_direction": lambda grid, m, seed, magnitude=0.8: vec.random_direction_ic(
         grid, m, magnitude, seed
     ),
-    "smooth_deterministic": lambda grid, m, seed, magnitude=0.8: vec.smooth_deterministic_ic(
-        grid, m, magnitude
+    "smooth_deterministic": lambda grid, m, seed, **params: vec.smooth_deterministic_ic(
+        grid, m, **params
     ),
 }
 
@@ -345,8 +345,8 @@ SNAPSHOT_VERSION = 1
 # parsed to; `acsplit info` prints them in this order
 SNAPSHOT_KEYS = {"model": str, "d": int, "n": int, "m": int, "tau": float, "step": int,
                  "endian": str, "dtype": str, "layout": str}
-# the encoding lines a reader requires as written
-_ENCODING = {"endian": "little", "dtype": "float64"}
+# the encoding lines, which the writer writes and a reader requires as written
+_ENCODING = {"endian": "little", "dtype": "float64", "layout": "components-slowest"}
 
 
 def write_snapshot(
@@ -369,7 +369,7 @@ def write_snapshot(
         raise ValueError(f"field shape {values.shape} is not the {model} field shape {expected}")
     disk = np.moveaxis(values, range(grid.d, values.ndim), range(values.ndim - grid.d))
     meta = {"model": model, "d": grid.d, "n": grid.n, "m": m, "tau": tau, "step": step,
-            **_ENCODING, "layout": "components-slowest"}
+            **_ENCODING}
     header = [f"{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}"] + [f"{k}={meta[k]}" for k in SNAPSHOT_KEYS]
     with open(path, "wb") as fh:
         fh.write("\n".join(header + ["end\n"]).encode("ascii"))
@@ -393,6 +393,8 @@ def _read_snapshot_header(fh) -> dict:
         if "=" not in line:
             raise SnapshotFormatError(f"bad header line {line!r}")
         k, v = line.split("=", 1)
+        if k not in SNAPSHOT_KEYS or k in meta:
+            raise SnapshotFormatError(f"unknown or repeated snapshot header key {k!r}")
         meta[k] = v
     else:
         raise SnapshotFormatError("truncated snapshot header")
@@ -400,8 +402,8 @@ def _read_snapshot_header(fh) -> dict:
         meta.update({k: kind(meta[k]) for k, kind in SNAPSHOT_KEYS.items() if kind is not str})
     except (KeyError, ValueError) as e:
         raise SnapshotFormatError(f"incomplete snapshot header: {e}") from e
-    if any(meta.get(k) != v for k, v in _ENCODING.items()):
-        raise SnapshotFormatError("unsupported snapshot encoding")
+    if bad := [k for k, v in _ENCODING.items() if meta.get(k) != v]:
+        raise SnapshotFormatError(f"unsupported snapshot encoding: {', '.join(bad)}")
     if why := geometry_error(meta["d"], meta["n"], meta["m"]):
         raise SnapshotFormatError(f"bad snapshot geometry: {why}")
     if meta.get("model") not in COMPONENT_AXES:
@@ -475,15 +477,23 @@ def _finite_values(step: int, field: np.ndarray, grid: TorusGrid,
     return values
 
 
+def _warn_beyond_threshold(cfg: RunConfig) -> None:
+    """The threshold policy on a matrix step beyond the bound: 'warn' warns and
+    proceeds, 'ignore' proceeds and 'enforce' never gets here (RunConfig refuses)."""
+    if cfg.model == "matrix" and cfg.threshold_policy == "warn":
+        if not (check := mat.threshold_check(cfg.tau, cfg.m)).satisfied:
+            warnings.warn(f"m e^tau (e^(2 tau)-1) exceeds {mat.DISSIPATION_THRESHOLD} (margin "
+                          f"{check.margin:.4g}); modified-energy dissipation is not guaranteed "
+                          "at this step size", RuntimeWarning, stacklevel=3)
+
+
 def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyTrace:
     """Step the configured model, recording the energy trace each step and
     writing trace/snapshot files when out_dir is set.
 
     The dissipation flag of row n is false iff the modified energy rose above
-    the previous row's by more than the relative tolerance 1e-10.  The
-    threshold policy applies to the matrix model only: 'enforce' refuses a
-    config beyond the bound (at construction), 'warn' emits a warning and
-    proceeds, 'ignore' proceeds silently.
+    the previous row's by more than the relative tolerance 1e-10.  A matrix
+    step beyond the threshold bound is judged by cfg's threshold policy.
     """
     grid = TorusGrid(cfg.d, cfg.n)
     u = build_initial(cfg, grid) if initial is None else np.asarray(initial, dtype=np.float64)
@@ -491,17 +501,7 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
     if u.shape != expected:
         raise ConfigError(f"initial field shape {u.shape} != expected {expected}")
 
-    if cfg.model == "matrix" and cfg.threshold_policy == "warn":
-        check = mat.threshold_check(cfg.tau, cfg.m)
-        if not check.satisfied:
-            warnings.warn(
-                f"m e^tau (e^(2 tau)-1) exceeds {mat.DISSIPATION_THRESHOLD} "
-                f"(margin {check.margin:.4g}); modified-energy dissipation is "
-                "not guaranteed at this step size",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
+    _warn_beyond_threshold(cfg)
     # the model's flow and monitors, looked up by module name at each run
     if cfg.model == "vector":
         flow, sup_fn, e_std_fn, e_mod_fn = (vec.nonlinear_propagate_vec, vec.sup_magnitude,
@@ -518,26 +518,22 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
         out_dir.mkdir(parents=True, exist_ok=True)
 
     rows: list[TraceRow] = []
-
-    def record(step_idx: int, state: tensor.StepRecord, prev_mod: float | None) -> float:
-        sup, e_std, e_mod = _finite_values(step_idx, state.field, grid, {
+    for n in range(cfg.steps + 1):
+        state = next(states)
+        sup, e_std, e_mod = _finite_values(n, state.field, grid, {
             "sup_norm": lambda: sup_fn(state.field),
             "energy_standard": lambda: e_std_fn(grid, state),
             "energy_modified": lambda: e_mod_fn(grid, state, cfg.tau),
         })
         if out_dir is not None and cfg.snapshot_every > 0 and (
-            step_idx % cfg.snapshot_every == 0 or step_idx == cfg.steps
+            n % cfg.snapshot_every == 0 or n == cfg.steps
         ):
-            write_snapshot(out_dir / f"snap_{step_idx:06d}.snap", state.field, model=cfg.model,
-                           grid=grid, m=cfg.m, tau=cfg.tau, step=step_idx)
-        ok = prev_mod is None or e_mod <= prev_mod + DISSIPATION_REL_TOL * abs(prev_mod)
-        rows.append(TraceRow(step_idx, step_idx * cfg.tau, e_std, e_mod, abs(e_mod - e_std), sup, ok))
-        return e_mod
-
-    # next(states) straight into record: no record is held past its step
-    prev = None
-    for n in range(cfg.steps + 1):
-        prev = record(n, next(states), prev)
+            write_snapshot(out_dir / f"snap_{n:06d}.snap", state.field, model=cfg.model,
+                           grid=grid, m=cfg.m, tau=cfg.tau, step=n)
+        prev = rows[-1].energy_modified if rows else e_mod  # step 0 has no rise
+        ok = e_mod <= prev + DISSIPATION_REL_TOL * abs(prev)
+        rows.append(TraceRow(n, n * cfg.tau, e_std, e_mod, abs(e_mod - e_std), sup, ok))
+        del state  # no record is held past its step
 
     trace = EnergyTrace(rows)
     if out_dir is not None:
@@ -556,7 +552,7 @@ class ConvergenceReport:
     rates: list[float]
     reference_tau: float
     t_final: float
-    norm: str = "cell-weighted l2: sqrt((2 pi / n)^d * sum_nodes |diff|^2)"
+    norm: ClassVar[str] = "cell-weighted l2: sqrt((2 pi / n)^d * sum_nodes |diff|^2)"
 
     def format(self) -> str:
         lines = [
@@ -589,7 +585,8 @@ def convergence_study(
     The reference is the same splitting run at tau_ref = (finest ladder
     tau)/64.  The ladder must decrease by exact factors of 2 and t_final must
     be an integer multiple of every ladder step and of the reference step.
-    Errors are reported in the cell-weighted l2 norm at t_final.
+    Errors are reported in the cell-weighted l2 norm at t_final.  Each
+    ladder step is judged by cfg's threshold policy, as a run would be.
     """
     if len(tau_ladder) < 2:
         raise ConfigError("tau_ladder needs at least two entries")
@@ -601,6 +598,8 @@ def convergence_study(
             raise ConfigError(
                 f"tau_ladder must decrease by exact factors of 2; got {a} -> {b}"
             )
+    for t in taus:  # RunConfig refuses a rung beyond the bound under 'enforce'
+        _warn_beyond_threshold(replace(cfg, tau=t))
     ref_tau = taus[-1] / 64.0
     grid = TorusGrid(cfg.d, cfg.n)
     u0 = build_initial(cfg, grid)

@@ -214,7 +214,7 @@ def polar_ic(grid: TorusGrid, variant: str) -> np.ndarray:
 
 
 def smooth_random_mat_ic(
-    grid: TorusGrid, m: int, sup_target: float, seed: int, kcut: int = 4
+    grid: TorusGrid, m: int, sup_target: float, seed: int, kcut: float = 4
 ) -> np.ndarray:
     """Seeded band-limited random matrix field; see tensor.smooth_random_ic."""
     return tensor.smooth_random_ic(grid, (m, m), sup_target, seed, kcut)

@@ -240,7 +240,7 @@ def sup_norm(a: np.ndarray) -> float:
 
 
 def smooth_random_ic(
-    grid: TorusGrid, shape: tuple[int, ...], sup_target: float, seed: int, kcut: int = 4
+    grid: TorusGrid, shape: tuple[int, ...], sup_target: float, seed: int, kcut: float = 4
 ) -> np.ndarray:
     """Seeded random field with component axes `shape` ((m, q), or (m,) for a
     vector field), band-limited to |k|^2 <= kcut^2 and scaled so the sup of
@@ -255,7 +255,7 @@ def smooth_random_ic(
     rng = np.random.Generator(np.random.Philox(seed))
     raw = rng.standard_normal(grid.shape + tuple(shape))
     coeffs = np.fft.fftn(raw, axes=grid.spatial_axes)
-    keep = grid.wavenumbers_squared <= kcut**2
+    keep = grid.wavenumbers_squared <= kcut * kcut  # inf for a huge kcut; kcut**2 raises
     coeffs *= keep.reshape(keep.shape + (1,) * len(shape))
     u = np.fft.ifftn(coeffs, axes=grid.spatial_axes).real
     sup = sup_norm(u.reshape(grid.shape + (shape[0], -1)))

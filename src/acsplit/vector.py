@@ -119,7 +119,7 @@ def random_direction_ic(
 
 
 def smooth_random_ic(
-    grid: TorusGrid, m: int, sup_target: float, seed: int, kcut: int = 4
+    grid: TorusGrid, m: int, sup_target: float, seed: int, kcut: float = 4
 ) -> np.ndarray:
     """Seeded band-limited random field; see tensor.smooth_random_ic."""
     return tensor.smooth_random_ic(grid, (m,), sup_target, seed, kcut)

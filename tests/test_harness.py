@@ -144,6 +144,13 @@ def test_config_text_gives_field_or_config_error():
     check()
 
 
+def test_ic_parameters_are_floats_however_spelled():
+    for ic in ("smooth:sup=1,kcut=3", "smooth:sup=1.0,kcut=3.0", "smooth:sup=2/2,kcut=6/2"):
+        params = build_run_config({"model": "vector", "ic": ic}).ic_params
+        assert params == {"sup": 1.0, "kcut": 3.0}
+        assert all(type(v) is float for v in params.values()), (ic, params)
+
+
 def test_threshold_policy_enforce_rejects_large_tau():
     with pytest.raises(ConfigError):
         RunConfig(model="matrix", tau=1.0, threshold_policy="enforce")
@@ -681,7 +688,9 @@ def test_convergence_ladder_validation():
 
 @pytest.mark.parametrize("name", list(verify.CHECKS))
 def test_check_passes(name):
-    ok, detail = verify.CHECKS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ok, detail = verify.CHECKS[name]()
     assert ok, f"{name}: {detail}"
 
 
@@ -822,6 +831,25 @@ def test_matrix_energy_check_counts_rising_energy(monkeypatch):
     assert bad > 0
 
 
+@pytest.mark.parametrize("model", ["vector", "matrix"])
+def test_energy_check_fails_on_a_nan_rise(monkeypatch, model):
+    # a NaN is no rise below the tolerance: the step fails in either model
+    candidates = [(0.01, "smooth", 0, {})]
+    assert verify._energy_monotone(model, candidates, 2)[0]
+    monkeypatch.setattr(verify, "_relative_rises", lambda trace: np.array([-1.0, np.nan]))
+    ok, detail = verify._energy_monotone(model, candidates, 2)
+    assert not ok
+    assert detail.startswith("1 certified trajectories, 0 skipped by threshold, "
+                             "1 dissipation-flag failures"), detail
+
+
+def test_vector_energy_check_counts_every_trajectory():
+    ok, detail = verify.CHECKS["vector/modified-energy-monotone"]()
+    assert ok
+    assert detail.startswith("8 certified trajectories, 0 skipped by threshold, "
+                             "0 dissipation-flag failures, worst rel increase"), detail
+
+
 def _dissipation_counts():
     ok, detail = verify.CHECKS["matrix/modified-energy-monotone"]()
     m = re.search(r"(\d+) certified trajectories, (\d+) skipped by threshold, (\d+) dissipation-flag failures", detail)
@@ -909,6 +937,24 @@ def test_smooth_ic_keeps_fractional_kcut():
     assert shell_amplitude("smooth:kcut=2") < 1e-12
 
 
+def test_smooth_ic_takes_any_kcut(tmp_path, capsys):
+    # kcut * kcut is inf for a huge kcut: the whole band, as for any kcut
+    # beyond the grid's largest |k|
+    grid = TorusGrid(1, 8)
+
+    def field(kcut):
+        cfg = build_run_config({"model": "vector", "d": "1", "n": "8", "m": "2",
+                                "ic": f"smooth:kcut={kcut}"})
+        return build_initial(cfg, grid)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(field("1e300"), field("100"))
+        cfg = _write_cfg(tmp_path, "model=vector\nd=1\nn=8\nm=2\nsteps=1\nic=smooth:kcut=1e300\n")
+        assert cli.main(["run", cfg]) == 0
+    assert "dissipation flags: all ok" in capsys.readouterr().out
+
+
 def test_cli_usage_error_exit_1(capsys):
     # argparse's own exit code 2 would collide with the invariant-failure code
     assert cli.main(["verify", "core"]) == 1
@@ -942,6 +988,37 @@ def test_cli_converge_ok(tmp_path, capsys):
     assert cli.main(["converge", cfg]) == 0
     out = capsys.readouterr().out
     assert "rate" in out and "reference" in out
+
+
+_LADDER_BEYOND_BOUND = "d=1\nn=8\nm=2\nic=zero\ntau_ladder=1,1/2\nt_final=1\n"
+
+
+def test_cli_converge_enforce_refuses_a_rung_beyond_the_bound(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "model=matrix\nthreshold_policy=enforce\n" + _LADDER_BEYOND_BOUND)
+    assert cli.main(["converge", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: threshold_policy=enforce") and len(err.strip().splitlines()) == 1
+    assert "margin = -" in err
+
+
+def test_cli_converge_warn_warns_per_rung_beyond_the_bound(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "model=matrix\nthreshold_policy=warn\n" + _LADDER_BEYOND_BOUND)
+    with pytest.warns(RuntimeWarning, match="dissipation is not guaranteed") as caught:
+        assert cli.main(["converge", cfg]) == 0
+    assert len(caught) == 2  # both rungs, tau = 1 and 1/2, are beyond it
+    assert "rate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model, policy", [("matrix", "ignore"), ("vector", "enforce"),
+                                           ("vector", "warn")])
+def test_cli_converge_silent_when_the_policy_does_not_apply(tmp_path, capsys, model, policy):
+    cfg = _write_cfg(tmp_path, f"model={model}\nthreshold_policy={policy}\n" + _LADDER_BEYOND_BOUND)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["converge", cfg]) == 0
+    assert "rate" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["run", "converge"])
@@ -988,6 +1065,38 @@ def test_cli_info(tmp_path, capsys):
     assert "model = vector" in out
     assert "step = 5" in out
     assert "sup_norm = 0.0" in out
+
+
+@pytest.mark.parametrize("edit", [
+    (b"layout=components-slowest\n", b"layout=other\n"),
+    (b"layout=components-slowest\n", b""),
+    (b"\nend\n", b"\nextra=1\nend\n"),
+], ids=["other-layout", "no-layout", "unknown-key"])
+def test_snapshot_reader_refuses_foreign_headers(tmp_path, capsys, edit):
+    path = tmp_path / "v.snap"
+    write_snapshot(path, np.zeros((8, 2)), model="vector", grid=TorusGrid(1, 8), m=2, tau=0.1,
+                   step=0)
+    blob = path.read_bytes()
+    assert blob.count(edit[0]) == 1
+    path.write_bytes(blob.replace(*edit))
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(path)
+    assert cli.main(["info", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and len(err.strip().splitlines()) == 1
+
+
+def test_every_written_snapshot_reads(tmp_path):
+    rng = np.random.Generator(np.random.Philox(14))
+    path = tmp_path / "f.snap"
+    for model, axes in harness.COMPONENT_AXES.items():
+        for d in (1, 2, 3):
+            for m in (1, 2, 3):
+                grid = TorusGrid(d, 4)
+                u = rng.standard_normal(grid.shape + (m,) * axes)
+                write_snapshot(path, u, model=model, grid=grid, m=m, tau=0.1, step=2)
+                meta, back = read_snapshot(path)
+                assert np.array_equal(back, u) and meta["layout"] == "components-slowest"
 
 
 def test_cli_info_missing_file_exit_3(tmp_path):
