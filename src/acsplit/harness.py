@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, ClassVar, NamedTuple, get_type_hints
@@ -154,13 +154,6 @@ class RunConfig:
                     f"unknown initial condition {self.ic!r} for {self.model} model; "
                     f"known: {', '.join(sorted(registry))}"
                 )
-        if self.model == "matrix" and self.threshold_policy == "enforce":
-            check = mat.threshold_check(self.tau, self.m)
-            if not check.satisfied:
-                raise ConfigError(
-                    "threshold_policy=enforce requires m e^tau (e^{2tau}-1) <= "
-                    f"{mat.DISSIPATION_THRESHOLD}; margin = {check.margin:.4g}"
-                )
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -203,7 +196,8 @@ def _parse_ic(text: str) -> tuple[str, dict]:
 
 def build_run_config(raw: dict[str, str]) -> RunConfig:
     """The RunConfig of a config file's key=value pairs: each value is parsed
-    by its field's type, and a key left out takes the field's default."""
+    by its field's type, and a key left out takes the field's default.  The
+    convergence keys are parsed and dropped, so `run` refuses a malformed one."""
     parsers = {k: _PARSERS[t] for k, t in get_type_hints(RunConfig).items() if t in _PARSERS}
     unknown = set(raw) - set(parsers) - set(_CONVERGE_KEYS)
     if unknown:
@@ -211,6 +205,8 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     if "model" not in raw:
         raise ConfigError("config key 'model' is required")
     try:
+        for key in _CONVERGE_KEYS.keys() & raw.keys():
+            _CONVERGE_KEYS[key](raw[key])
         values = {key: parsers[key](text) for key, text in raw.items() if key in parsers}
         values["ic"], values["ic_params"] = _parse_ic(values.get("ic", ""))
         return RunConfig(**values)
@@ -477,14 +473,19 @@ def _finite_values(step: int, field: np.ndarray, grid: TorusGrid,
     return values
 
 
-def _warn_beyond_threshold(cfg: RunConfig) -> None:
-    """The threshold policy on a matrix step beyond the bound: 'warn' warns and
-    proceeds, 'ignore' proceeds and 'enforce' never gets here (RunConfig refuses)."""
-    if cfg.model == "matrix" and cfg.threshold_policy == "warn":
-        if not (check := mat.threshold_check(cfg.tau, cfg.m)).satisfied:
-            warnings.warn(f"m e^tau (e^(2 tau)-1) exceeds {mat.DISSIPATION_THRESHOLD} (margin "
-                          f"{check.margin:.4g}); modified-energy dissipation is not guaranteed "
-                          "at this step size", RuntimeWarning, stacklevel=3)
+def _judge_step_size(cfg: RunConfig, tau: float) -> None:
+    """cfg's threshold policy on a matrix step tau beyond the bound: 'enforce'
+    refuses it, 'warn' warns and proceeds, 'ignore' proceeds."""
+    if cfg.model != "matrix" or cfg.threshold_policy == "ignore":
+        return
+    if (check := mat.threshold_check(tau, cfg.m)).satisfied:
+        return
+    if cfg.threshold_policy == "enforce":
+        raise ConfigError("threshold_policy=enforce requires m e^tau (e^{2tau}-1) <= "
+                          f"{mat.DISSIPATION_THRESHOLD}; margin = {check.margin:.4g}")
+    warnings.warn(f"m e^tau (e^(2 tau)-1) exceeds {mat.DISSIPATION_THRESHOLD} (margin "
+                  f"{check.margin:.4g}); modified-energy dissipation is not guaranteed "
+                  "at this step size", RuntimeWarning, stacklevel=3)
 
 
 def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyTrace:
@@ -495,13 +496,13 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
     the previous row's by more than the relative tolerance 1e-10.  A matrix
     step beyond the threshold bound is judged by cfg's threshold policy.
     """
+    _judge_step_size(cfg, cfg.tau)
     grid = TorusGrid(cfg.d, cfg.n)
     u = build_initial(cfg, grid) if initial is None else np.asarray(initial, dtype=np.float64)
     expected = grid.shape + (cfg.m,) * COMPONENT_AXES[cfg.model]
     if u.shape != expected:
         raise ConfigError(f"initial field shape {u.shape} != expected {expected}")
 
-    _warn_beyond_threshold(cfg)
     # the model's flow and monitors, looked up by module name at each run
     if cfg.model == "vector":
         flow, sup_fn, e_std_fn, e_mod_fn = (vec.nonlinear_propagate_vec, vec.sup_magnitude,
@@ -598,8 +599,8 @@ def convergence_study(
             raise ConfigError(
                 f"tau_ladder must decrease by exact factors of 2; got {a} -> {b}"
             )
-    for t in taus:  # RunConfig refuses a rung beyond the bound under 'enforce'
-        _warn_beyond_threshold(replace(cfg, tau=t))
+    for t in taus:
+        _judge_step_size(cfg, t)
     ref_tau = taus[-1] / 64.0
     grid = TorusGrid(cfg.d, cfg.n)
     u0 = build_initial(cfg, grid)

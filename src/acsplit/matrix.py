@@ -132,7 +132,7 @@ def taylor_inequality_check(u0: np.ndarray, h: np.ndarray, tau: float) -> bool:
     Preconditions (raised on violation): ||U0||_F <= sqrt(m),
     ||U0 + H||_F <= sqrt(m), and m e^tau (e^{2 tau} - 1) <= 0.43.
     Accepts batches over leading axes; true iff the inequality holds with
-    slack >= -1e-10 everywhere.
+    slack >= -1e-10 everywhere: the tensorial inequality with w = 1.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
@@ -144,13 +144,7 @@ def taylor_inequality_check(u0: np.ndarray, h: np.ndarray, tau: float) -> bool:
         raise ValueError("||U0 + H||_F exceeds sqrt(m)")
     if not threshold_check(tau, m).satisfied:
         raise ValueError("m e^tau (e^{2 tau} - 1) exceeds the 0.43 bound")
-    lhs = -g_trace_derivative(u0, h, tau)
-    rhs = (
-        g_potential_mat(u0, tau)
-        - g_potential_mat(u0 + h, tau)
-        + _tr_prod(h, h) / tau
-    )
-    return bool(np.all(rhs - lhs >= -INEQUALITY_SLACK))
+    return tensor._inequality_slack(u0, h, tau, 1.0) >= -INEQUALITY_SLACK
 
 
 def projection_split_step(grid: TorusGrid, u: np.ndarray, tau: float) -> np.ndarray:

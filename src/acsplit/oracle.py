@@ -1,8 +1,9 @@
-"""Brute-force reference integrators for the pointwise nonlinear flows.
+"""Brute-force reference integrator for the pointwise nonlinear flows.
 
-These exist solely as independent ground truth for the closed-form
-propagators: classical fixed-step RK4, deterministic and auditable, with no
-shared code or formulas with the production steppers.
+Classical fixed-step RK4 on U' = U - U U^T U, the vector ODE being the same
+on m x 1 columns: independent ground truth for the closed-form propagators,
+sharing no code or formulas with the steppers (which use the closed form
+through the Gram matrix).
 """
 
 from __future__ import annotations
@@ -50,18 +51,10 @@ def integrate_vector_ode(
     """RK4 solution of u' = (1 - |u|^2) u at time t, from u(0) = a.
 
     `a` may carry leading batch axes; the last axis is the vector component
-    axis and each batch entry evolves independently.
+    axis and each batch entry evolves independently.  For a column U = u,
+    U U^T U = |u|^2 u, so this is integrate_matrix_ode on m x 1 matrices.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    a = np.asarray(a, dtype=np.float64)
-    if t == 0:
-        return a.copy()
-
-    def rhs(u):
-        return (1.0 - np.sum(u * u, axis=-1, keepdims=True)) * u
-
-    return _rk4(a, t, cfg.substeps(t), rhs)
+    return integrate_matrix_ode(np.asarray(a)[..., None], t, cfg)[..., 0]
 
 
 def integrate_matrix_ode(
@@ -69,17 +62,13 @@ def integrate_matrix_ode(
 ) -> np.ndarray:
     """RK4 solution of U' = U - U U^T U at time t, from U(0) = a.
 
-    `a` may carry leading batch axes; the trailing two axes are the matrix
-    axes.
+    `a` may carry leading batch axes; the trailing two axes are the m x q
+    matrix axes.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     a = np.asarray(a, dtype=np.float64)
     if t == 0:
         return a.copy()
-    swap = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-
-    def rhs(u):
-        return u - u @ u.transpose(swap) @ u
-
-    return _rk4(a, t, cfg.substeps(t), rhs)
+    # the q x q Gram matrix U^T U first: for a column it is the scalar |u|^2
+    return _rk4(a, t, cfg.substeps(t), lambda u: u - u @ (np.swapaxes(u, -1, -2) @ u))

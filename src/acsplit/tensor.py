@@ -28,7 +28,7 @@ import numpy as np
 from . import grid as spectral
 from .grid import TorusGrid
 
-# slack floor for the concavity and Taylor inequality checks
+# slack floor for the concavity and Taylor inequality checks (_inequality_slack)
 INEQUALITY_SLACK = 1e-10
 # floor for e^{-t} terms that underflow at large t: it keeps the closed forms
 # finite where lam = 0 and moves them by less than rounding where lam > 1e-291
@@ -186,6 +186,15 @@ def gradient(a: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError(f"tau must be > 0, got {tau}")
     a = np.asarray(a, dtype=np.float64)
     return _gram_function(a, lambda lam: (1.0 - _flow_factor(lam, tau)) / tau)
+
+
+def _inequality_slack(u0: np.ndarray, h: np.ndarray, tau: float, w: float) -> float:
+    """Least slack of  -<grad G(U0), H>  <=  G(U0) - G(U0 + H) + w ||H||_F^2 / tau
+    over a batch of m x q pairs (U0, H), G the trace potential: w = 1/2 on
+    m x 1 columns is the vector concavity bound, w = 1 the matrix Taylor bound."""
+    lhs = -np.sum(gradient(u0, tau) * h, axis=(-2, -1))
+    rhs = potential(u0, tau) - potential(u0 + h, tau) + w * np.sum(h * h, axis=(-2, -1)) / tau
+    return float(np.min(rhs - lhs, initial=np.inf))
 
 
 def _record(grid: TorusGrid, a, tau: float | None = None) -> StepRecord:

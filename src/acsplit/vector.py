@@ -86,18 +86,12 @@ def concavity_inequality_check_vec(u: np.ndarray, v: np.ndarray, tau: float) -> 
     """Check  -<grad G(u), v - u>  <=  G(u) - G(v) + |v - u|^2 / (2 tau).
 
     `u`, `v` are m-vectors or batches of them (last axis = components).
-    True iff the inequality holds with slack >= -1e-10 everywhere.
+    True iff the inequality holds with slack >= -1e-10 everywhere: the
+    tensorial inequality with w = 1/2 on m x 1 columns.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    diff = v - u
-    lhs = -np.sum(g_gradient_vec(u, tau) * diff, axis=-1)
-    rhs = (
-        g_potential_vec(u, tau)
-        - g_potential_vec(v, tau)
-        + np.sum(diff * diff, axis=-1) / (2.0 * tau)
-    )
-    return bool(np.all(rhs - lhs >= -INEQUALITY_SLACK))
+    return tensor._inequality_slack(u[..., None], (v - u)[..., None], tau, 0.5) >= -INEQUALITY_SLACK
 
 
 def random_direction_ic(

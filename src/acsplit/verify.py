@@ -2,7 +2,7 @@
 of fixed-seed property checks, each returning (ok, detail).  A check's scope
 is its name prefix (core/, vector/, matrix/, harness/).  Entries look the
 model functions up in their modules when they run, so a function replaced at
-run time is the one checked.  The vector and matrix twins of a flow property
+run time is the one checked.  The vector and matrix twins of a property
 share one body; its vector rows pass m x 1 matrices to acsplit.tensor.
 """
 
@@ -24,7 +24,7 @@ from . import vector as vec
 from .grid import TorusGrid
 from .harness import (DISSIPATION_REL_TOL, ConfigError, EnergyTrace, RunConfig, read_snapshot,
                       run_experiment)
-from .oracle import integrate_matrix_ode, integrate_vector_ode
+from .oracle import integrate_matrix_ode
 
 __all__ = ["CHECKS", "CheckResult", "VerifyReport", "verify_suite"]
 
@@ -242,19 +242,22 @@ def _energy_monotone(model: str, candidates, steps: int):
     )
 
 
+def _gradient_fd(cases, count: int, seed: int, scales) -> float:
+    """Worst |<grad G(A), H> - (G(A + eps H) - G(A - eps H)) / (2 eps)|, eps = 1e-5,
+    with G tensor.potential, over `count` normal draws per case (m, q, tau) of
+    m x q matrices A and H, scaled by `scales`."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    eps, worst = 1e-5, 0.0
+    for m, q, tau in cases:
+        a, h = (rng.standard_normal((count, m, q)) * scale for scale in scales)
+        fd = (tensor.potential(a + eps * h, tau) - tensor.potential(a - eps * h, tau)) / (2 * eps)
+        exact = np.sum(tensor.gradient(a, tau) * h, axis=(-2, -1))
+        worst = max(worst, float(np.max(np.abs(fd - exact))))
+    return worst
+
+
 def _vec_gradient_fd():
-    rng = np.random.Generator(np.random.Philox(36))
-    h = 1e-5
-    worst = 0.0
-    for tau in (0.01, 1.0):
-        for _ in range(50):
-            w = rng.standard_normal(3) * 1.5
-            g = vec.g_gradient_vec(w, tau)
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = h
-                fd = (vec.g_potential_vec(w + e, tau) - vec.g_potential_vec(w - e, tau)) / (2 * h)
-                worst = max(worst, abs(fd - g[i]))
+    worst = _gradient_fd([(3, 1, tau) for tau in (0.01, 1.0)], 150, 36, (1.5, 1.0))
     return worst <= 1e-6, f"gradient vs central differences: max abs err {worst:.2e}"
 
 
@@ -293,7 +296,6 @@ def _mat_frobenius_bound():
 def _mat_taylor():
     rng = np.random.Generator(np.random.Philox(47))
     ok = True
-    fd_worst = 0.0
     for m in (2, 3):
         tau_max = 0.9 * _threshold_tau(m)
         for _ in range(5):
@@ -301,17 +303,8 @@ def _mat_taylor():
             u0 = _in_ball(rng, rng.standard_normal((1000, m, m)), math.sqrt(m))
             target = _in_ball(rng, rng.standard_normal((1000, m, m)), math.sqrt(m))
             ok = ok and mat.taylor_inequality_check(u0, target - u0, tau)
-        # derivative vs central differences on a few single matrices
-        for _ in range(20):
-            tau = 0.5 * tau_max
-            u0 = rng.standard_normal((m, m)) * 0.4
-            h = rng.standard_normal((m, m)) * 0.3
-            eps = 1e-5
-            fd = (
-                mat.g_potential_mat(u0 + eps * h, tau)
-                - mat.g_potential_mat(u0 - eps * h, tau)
-            ) / (2 * eps)
-            fd_worst = max(fd_worst, abs(fd - float(mat.g_trace_derivative(u0, h, tau))))
+    # the derivative h'(0) = <grad G(U0), H> against central differences
+    fd_worst = _gradient_fd([(m, m, 0.45 * _threshold_tau(m)) for m in (2, 3)], 20, 49, (0.4, 0.3))
     ok = ok and fd_worst <= 1e-6
     return ok, f"10^4 admissible draws; h'(0) vs FD max err {fd_worst:.2e}"
 
@@ -388,8 +381,8 @@ CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
             ("smooth", 33, {"sup": 2.0, "kcut": 4}), ("random_direction", 34, {"magnitude": 0.8}))
         for tau in (1e-4, 0.1, 1.0, 10.0)], 20),
     "vector/closed-form-vs-rk4": lambda: _closed_form(
-        tensor.nonlinear_propagate, lambda a, t: integrate_vector_ode(a[..., 0], t)[..., None],
-        ((3, 1, 3.0),), 250, 35, (0.1, 0.5, 1.0, 2.0)),
+        tensor.nonlinear_propagate, integrate_matrix_ode, ((3, 1, 3.0),), 250, 35,
+        (0.1, 0.5, 1.0, 2.0)),
     "vector/potential-gradient-vs-fd": _vec_gradient_fd,
     "vector/rotation-equivariance":
         lambda: _equivariance(tensor.nonlinear_propagate, (3, 1), 2.0, 37, 0.8, 1e-13, "rotation"),

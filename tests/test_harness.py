@@ -152,8 +152,9 @@ def test_ic_parameters_are_floats_however_spelled():
 
 
 def test_threshold_policy_enforce_rejects_large_tau():
-    with pytest.raises(ConfigError):
-        RunConfig(model="matrix", tau=1.0, threshold_policy="enforce")
+    # the run refuses the step, before it builds the initial field
+    with pytest.raises(ConfigError, match="threshold_policy=enforce"):
+        run_experiment(RunConfig(model="matrix", tau=1.0, threshold_policy="enforce"))
     # inside the bound it constructs fine
     RunConfig(model="matrix", tau=0.01, threshold_policy="enforce")
 
@@ -653,7 +654,8 @@ def test_nonfinite_energy_after_step_0_is_an_invariant_violation(monkeypatch):
 def test_convergence_constant_unit_ic_zero_error():
     # a spatially constant orthonormal-frame field is a fixed point at any tau
     cfg = RunConfig(model="matrix", d=1, n=8, m=2, tau=0.1, steps=1, ic="identity")
-    rep = convergence_study(cfg, [0.1, 0.05], 0.2)
+    with pytest.warns(RuntimeWarning, match="exceeds 0.43"):  # the tau = 0.1 rung
+        rep = convergence_study(cfg, [0.1, 0.05], 0.2)
     assert max(rep.errors) <= 1e-13
 
 
@@ -749,6 +751,20 @@ def test_merged_checks_fail_on_a_perturbed_flow(monkeypatch, model):
     ]
     for body, bad, args in cases:
         assert body(real, *args)[0] and not body(bad, *args)[0], body.__name__
+    # the potential inequality holds at its weight (1/2 for a column, 1 for a
+    # matrix inside the step bound) and fails at w = 0, which is concavity of G
+    rng = np.random.Generator(np.random.Philox(0))
+    radius, w, tau = ((2.0, 0.5, 0.01) if model == "vector"
+                      else (math.sqrt(3), 1.0, 0.5 * verify._threshold_tau(3)))
+    u0, u1 = (verify._in_ball(rng, rng.standard_normal((1000,) + shape), radius) for _ in "ab")
+    assert acsplit.tensor._inequality_slack(u0, u1 - u0, tau, w) >= -1e-10
+    assert acsplit.tensor._inequality_slack(u0, u1 - u0, tau, 0.0) < 0
+    # the derivative check fails a gradient off by 1e-4
+    fd_args = ([shape + (tau,)], 20, 0, (1.0, 1.0))
+    assert verify._gradient_fd(*fd_args) <= 1e-6
+    real_gradient = acsplit.tensor.gradient
+    monkeypatch.setattr(acsplit.tensor, "gradient", lambda a, t: real_gradient(a, t) * (1 + 1e-4))
+    assert verify._gradient_fd(*fd_args) > 1e-6
     args = (model, ((2, 1.0),), (1000.0,), 2, 0)
     assert verify._max_principle(*args)[0]
     monkeypatch.setattr(acsplit.tensor, "nonlinear_propagate", scaled)
@@ -905,6 +921,17 @@ def test_cli_run_bad_config_exit_1(tmp_path, capsys):
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+def test_cli_run_checks_the_ladder_keys(tmp_path, capsys):
+    # run ignores the convergence keys but refuses a malformed one
+    base = "model=vector\nd=1\nn=8\nsteps=2\n"
+    for bad in ("tau_ladder=not a number\n", "t_final=garbage\n"):
+        assert cli.main(["run", _write_cfg(tmp_path, base + bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad number") and len(err.strip().splitlines()) == 1
+    assert cli.main(["run", _write_cfg(tmp_path, base + "tau_ladder=1/10,1/20\nt_final=1/2\n")]) == 0
+    assert "dissipation flags: all ok" in capsys.readouterr().out
+
+
 def test_cli_run_nonfinite_tau_exit_1_without_traceback(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "model=vector\nd=1\nn=16\nm=2\nic=zero\ntau=nan\nsteps=2\n")
     assert cli.main(["run", cfg]) == 1
@@ -1001,6 +1028,15 @@ def test_cli_converge_enforce_refuses_a_rung_beyond_the_bound(tmp_path, capsys):
     err = captured.err
     assert err.startswith("error: threshold_policy=enforce") and len(err.strip().splitlines()) == 1
     assert "margin = -" in err
+
+
+def test_cli_converge_judges_the_rungs_not_the_tau_key(tmp_path, capsys):
+    # tau = 1 is beyond the bound but unused; both rungs are inside it
+    cfg = _write_cfg(tmp_path, "model=matrix\nd=1\nn=8\nm=2\ntau=1\nthreshold_policy=enforce\n"
+                               "ic=identity\ntau_ladder=1/100,1/200\nt_final=1/10\n")
+    assert cli.main(["converge", cfg]) == 0
+    captured = capsys.readouterr()
+    assert "rate" in captured.out and captured.err == ""
 
 
 def test_cli_converge_warn_warns_per_rung_beyond_the_bound(tmp_path, capsys):
