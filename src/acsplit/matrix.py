@@ -5,10 +5,10 @@ acsplit.tensor with q = m columns.  The pointwise flow
 
     S_N(t) A = ((e^{2t} - 1) A A^T + I)^{-1/2} e^t A = e^t A ((e^{2t} - 1) A^T A + I)^{-1/2}
 
-is applied through the eigendecomposition of the Gram matrix A^T A, so it
 maps each singular value sigma -> e^t sigma / sqrt((e^{2t} - 1) sigma^2 + 1)
-and keeps the singular vectors; no singular value decomposition and no
-matrix square root is formed.  Orthogonal matrices are fixed points; the
+and keeps the singular vectors.  It is computed in closed form for m = 2 and
+from the eigenvectors of A^T A for m >= 3, with no singular value
+decomposition and no matrix square root.  Orthogonal matrices are fixed points; the
 Frobenius ball of radius sqrt(m) is forward invariant.  The modified energy,
 with the trace potential sum_i G(sigma_i^2), is nonincreasing along the
 splitting when m e^tau (e^{2 tau} - 1) <= 0.43 (sufficient, not claimed

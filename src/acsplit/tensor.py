@@ -8,10 +8,11 @@ acting entry-wise and S_N the exact pointwise flow
 
     S_N(t) A = e^t A (c A^T A + I)^{-1/2},   c = e^{2t} - 1,
 
-the push-through form of (c A A^T + I)^{-1/2} e^t A.  All pointwise algebra
-goes through the q x q Gram matrix A^T A: for q = 1 it is the scalar |a|^2 and
-the work is elementwise; for q >= 2 its eigenvectors V give
-A f(A^T A) = (A V) f(Lambda) V^T, with Lambda_i = sigma_i(A)^2.
+the push-through form of (c A A^T + I)^{-1/2} e^t A.  Where it can, the pointwise
+algebra is entrywise: for q = 1 the Gram matrix A^T A is the scalar |a|^2, and
+a 2 x 2 matrix has its singular values in closed form (_conformal_parts).  Other
+shapes go through the Gram eigenvectors V: A f(A^T A) = (A V) f(Lambda) V^T,
+with Lambda_i = sigma_i(A)^2.
 """
 
 from __future__ import annotations
@@ -79,6 +80,37 @@ def _gram_function(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.
     return (av * fn(lam)) @ np.swapaxes(v, -1, -2)
 
 
+def _conformal_parts(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(e, h, f, g, Q, R, s1, s2) of 2 x 2 matrices A = conformal part [[e, -h], [h, e]]
+    + anticonformal part [[f, g], [g, -f]]: with Q = |(e, h)| and R = |(f, g)| the
+    singular values are s1 = Q + R and the signed s2 = det A / s1 (0 where s1 is)."""
+    p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    det = p * d - b * c  # first, while its temporaries are the only ones
+    e, h, f, g = 0.5 * (p + d), 0.5 * (c - b), 0.5 * (p - d), 0.5 * (c + b)
+    q, r = np.hypot(e, h), np.hypot(f, g)
+    s1 = q + r
+    s2 = np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0)
+    return e, h, f, g, q, r, s1, s2
+
+
+def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
+    """S_N(t) A = alpha conf(A) + beta anti(A) on 2 x 2 matrices, alpha and beta being
+    the divided differences of the singular values' map s -> s f(s^2) at (s1, -s2)
+    and (s1, s2): alpha = f1 + 2 R p and beta = f1 - 2 Q p, p = k f1^2 (s2 f2) f2 / (f1 + f2),
+    f_i = _flow_factor(s_i^2, t), k = -expm1(-2t).  Nothing divides by Q or R, and no
+    factor of p exceeds 1/tiny, so nothing overflows."""
+    e, h, f, g, q, r, s1, s2 = _conformal_parts(a)
+    f1, f2 = _flow_factor(s1 * s1, t), _flow_factor(s2 * s2, t)
+    p = -math.expm1(-2.0 * t) * f1 * f1 * (s2 * f2) * (f2 / (f1 + f2))
+    del s1, s2, f2  # each temporary is a quarter of the field: free them early
+    alpha, beta = f1 + 2.0 * r * p, f1 - 2.0 * q * p
+    del q, r, f1, p
+    out = np.empty_like(a)
+    out[..., 0, 0], out[..., 1, 1] = alpha * e + beta * f, alpha * e - beta * f
+    out[..., 1, 0], out[..., 0, 1] = beta * g + alpha * h, beta * g - alpha * h
+    return out
+
+
 def nonlinear_propagate(a: np.ndarray, t: float) -> np.ndarray:
     """S_N(t) A on the trailing m x q axes.  It keeps the right singular
     vectors (hence the rank) and fixes matrices with orthonormal columns."""
@@ -89,6 +121,8 @@ def nonlinear_propagate(a: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("non-finite values in input field")
     if t == 0:
         return a.copy()  # skip the eigendecomposition's last-ulp noise
+    if a.shape[-2:] == (2, 2):
+        return _flow_2x2(a, t)
     return _gram_function(a, lambda lam: _flow_factor(lam, t))
 
 
@@ -173,6 +207,8 @@ def potential(a: np.ndarray, tau: float) -> np.ndarray:
     (1/(2 tau)) A A^T - (e^tau/(tau c)) ((I + c A A^T)^{1/2} - I), c = e^{2 tau} - 1.
     It is invariant under A -> Q A R for orthogonal Q, R."""
     a = np.asarray(a, dtype=np.float64)
+    if a.shape[-2:] == (2, 2):
+        return sum(g_scalar(s * s, tau) for s in _conformal_parts(a)[-2:])
     if a.shape[-1] == 1:
         lam = _gram(a)[..., 0]
     else:  # clipped at 0: round-off can make the smallest slightly negative
@@ -185,7 +221,7 @@ def gradient(a: np.ndarray, tau: float) -> np.ndarray:
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     a = np.asarray(a, dtype=np.float64)
-    return _gram_function(a, lambda lam: (1.0 - _flow_factor(lam, tau)) / tau)
+    return (a - nonlinear_propagate(a, tau)) / tau
 
 
 def _inequality_slack(u0: np.ndarray, h: np.ndarray, tau: float, w: float) -> float:
@@ -235,10 +271,14 @@ def standard_energy(grid: TorusGrid, a) -> float:
     """Standard energy int (1/2)||grad A||_F^2 + (1/4)||A^T A - I||_F^2 dx, of a
     field or a StepRecord."""
     state = _record(grid, a)
-    gram = _gram(_matrices(grid, state.field))
-    q = gram.shape[-1]
-    gram[..., range(q), range(q)] -= 1.0
-    pot = 0.25 * grid.cell_volume * float(np.sum(gram * gram))
+    a = _matrices(grid, state.field)
+    if a.shape[-2:] == (2, 2):  # ||A^T A - I||_F^2 = sum_i (s_i^2 - 1)^2
+        dev = [s * s - 1.0 for s in _conformal_parts(a)[-2:]]
+    else:
+        gram = _gram(a)
+        gram[..., range(a.shape[-1]), range(a.shape[-1])] -= 1.0
+        dev = [gram]
+    pot = 0.25 * grid.cell_volume * sum(float(np.sum(x * x)) for x in dev)
     return spectral.dirichlet_energy(grid, state.spectrum) + pot
 
 

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from acsplit import tensor, vector
+from acsplit import matrix, tensor, vector
 from acsplit.grid import TorusGrid
+from acsplit.harness import RunConfig, run_experiment
+from acsplit.oracle import OracleConfig, integrate_matrix_ode
 
 SHAPES = [(1, 1), (3, 1), (2, 2), (3, 3), (4, 4)]
 TIMES = [0.01, 1.0, 10.0]
@@ -82,6 +85,107 @@ def test_kernels_match_svd_reference(m, q, kind, t):
     assert _worst_excess(tensor.gradient(a, t), _gradient_ref(a, t), flow_slack / t) <= 0
     pot = tensor.potential(a, t)[:, None]
     assert _worst_excess(pot, _potential_ref(a, t)[:, None], pot_slack) <= 0
+
+
+# ---------------------------------------------------------------------------
+# the closed-form 2 x 2 kernel at its corners
+
+# A 2 x 2 matrix has equal singular values exactly when it is a scaled
+# rotation (R = 0) or a scaled reflection (Q = 0).
+CORNERS = ["scaled-rotation", "scaled-reflection", "rank-1", "zero"]
+
+
+def _corner_inputs(kind, count=50):
+    """2 x 2 matrices A and lam = sigma_1(A)^2, for which S_N(t) A = f(lam) A
+    exactly, since A^T A is lam I or has rank 1."""
+    rng = np.random.Generator(np.random.Philox(60 + CORNERS.index(kind)))
+    theta = rng.uniform(0.0, 2.0 * math.pi, count)
+    c, s = np.cos(theta), np.sin(theta)
+    scale = rng.uniform(0.0, 3.0, count)
+    if kind == "scaled-rotation":
+        a = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    elif kind == "scaled-reflection":
+        a = np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2)
+    elif kind == "rank-1":  # eighths of small integers: det A is exactly 0
+        x, y = rng.integers(-8, 9, (2, count, 2)) / 8.0
+        return x[:, :, None] * y[:, None, :], np.sum(x * x, -1) * np.sum(y * y, -1)
+    else:
+        scale = np.zeros(count)
+        a = np.zeros((count, 2, 2))
+    return scale[:, None, None] * a, scale * scale
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "single"])
+@pytest.mark.parametrize("t", [0.01, 1.0, 10.0, 1000.0])
+@pytest.mark.parametrize("kind", CORNERS)
+def test_closed_form_2x2_kernel_at_its_corners(kind, t, batched):
+    a, lam = _corner_inputs(kind)
+    if not batched:
+        a, lam = a[7], lam[7]
+
+    def flow_factor(x):
+        return tensor._flow_factor(x, t)
+
+    slack = 0.0
+    if kind == "rank-1":
+        # sigma_2 of the SVD and of A V is round-off of about eps sigma_1,
+        # which the flow's slope e^t at 0 magnifies (see
+        # test_kernels_match_svd_reference); at t = 1000 it maps to O(1), and
+        # only the exact reference applies
+        slack = 16 * EPS * math.exp(t) * np.sqrt(lam) if t <= 10 else np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tensor.nonlinear_propagate(a, t).reshape(-1, 2, 2)
+        pot = np.reshape(tensor.potential(a, t), (-1, 1))
+    exact = flow_factor(lam)[..., None, None] * a
+    assert _worst_excess(got, exact.reshape(-1, 2, 2)) <= 0
+    svd_ref = _svd_map(a, lambda s: s * flow_factor(s * s))
+    for ref in (svd_ref, tensor._gram_function(a, flow_factor)):
+        assert _worst_excess(got, ref.reshape(-1, 2, 2), slack) <= 0
+    g_ref = (1 if kind == "rank-1" else 2) * tensor.g_scalar(lam, t)
+    assert _worst_excess(pot, np.reshape(g_ref, (-1, 1))) <= 0
+
+
+def test_2x2_runs_need_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2 x 2 field went through numpy.linalg")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    trace = run_experiment(RunConfig(model="matrix", d=2, n=16, m=2, tau=0.01, steps=3))
+    assert len(trace.rows) == 4 and trace.dissipation_all_ok
+    u = matrix.polar_ic(TorusGrid(2, 8), "stripe")
+    assert np.all(np.isfinite(matrix.g_trace_derivative(0.5 * u, u, 0.01)))
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the RK4 oracle
+
+
+def test_kernel_matches_rk4_oracle_on_random_shapes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # 2000 substeps per unit time keep RK4's own error below 1e-13 here
+    oracle = OracleConfig(substeps_per_unit_time=2000)
+
+    @st.composite
+    def cases(draw):
+        # a batch of 8 normal directions of shape (m, q), scaled to one norm
+        m = draw(st.integers(1, 4))
+        q = draw(st.sampled_from(sorted({1, m})))
+        rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+        a = rng.standard_normal((8, m, q))
+        a *= draw(st.floats(0.0, 3.0)) / np.sqrt(np.sum(a * a, axis=(-2, -1), keepdims=True))
+        return a, draw(st.floats(0.0, 2.0))
+
+    @hypothesis.settings(max_examples=60, derandomize=True, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        a, t = case
+        err = np.max(np.abs(tensor.nonlinear_propagate(a, t) - integrate_matrix_ode(a, t, oracle)))
+        assert err <= 1e-8, (a.shape, t, err)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
