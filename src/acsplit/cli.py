@@ -28,8 +28,16 @@ EXIT_INVARIANT = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one-line ConfigErrors (exit 1), not argparse's usage
+    text and exit 2, which would read as EXIT_INVARIANT; subparsers inherit it."""
+
+    def error(self, message):
+        raise harness.ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="acsplit",
         description="Strang-splitting simulator for vector- and matrix-valued "
         "Allen-Cahn flows on the periodic torus",
@@ -100,11 +108,9 @@ def _cmd_info(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on a usage error, which would read as EXIT_INVARIANT
-        return EXIT_OK if e.code == 0 else EXIT_CONFIG
-    try:
         return args.handler(args)
+    except SystemExit:  # --help, after printing the help
+        return EXIT_OK
     except harness.ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -136,6 +136,8 @@ class RunConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
+        if self.snapshot_every and not self.out_dir:
+            raise ConfigError("snapshot_every needs out_dir")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for key, value in self.ic_params.items():

@@ -63,6 +63,19 @@ def _flow_factor(lam: np.ndarray, t: float) -> np.ndarray:
     return 1.0 / np.sqrt(-math.expm1(-2.0 * t) * lam + max(math.exp(-2.0 * t), _TINY))
 
 
+def _checked(a) -> np.ndarray:
+    """`a` as float64, refused (ValueError) unless its entries are finite and at
+    most sqrt(float64 max / (2 m q)) in magnitude, which keeps every squared
+    singular value and Gram entry of an m x q matrix finite."""
+    a = np.asarray(a, dtype=np.float64)
+    bound = math.sqrt(np.finfo(np.float64).max / (2 * a.shape[-2] * a.shape[-1]))
+    # two reductions, no temporary; a NaN entry makes both NaN and fails
+    if not (-bound <= a.min(initial=0.0) and a.max(initial=0.0) <= bound):
+        raise ValueError(f"entries must be finite and at most {bound:.4g} in magnitude, "
+                         "or A^T A can overflow")
+    return a
+
+
 def _gram(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2) @ a
 
@@ -116,9 +129,7 @@ def nonlinear_propagate(a: np.ndarray, t: float) -> np.ndarray:
     vectors (hence the rank) and fixes matrices with orthonormal columns."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    a = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite values in input field")
+    a = _checked(a)
     if t == 0:
         return a.copy()  # skip the eigendecomposition's last-ulp noise
     if a.shape[-2:] == (2, 2):
@@ -206,7 +217,7 @@ def potential(a: np.ndarray, tau: float) -> np.ndarray:
     """Trace potential sum_i G(lambda_i) over the eigenvalues of A^T A: the trace of
     (1/(2 tau)) A A^T - (e^tau/(tau c)) ((I + c A A^T)^{1/2} - I), c = e^{2 tau} - 1.
     It is invariant under A -> Q A R for orthogonal Q, R."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _checked(a)
     if a.shape[-2:] == (2, 2):
         return sum(g_scalar(s * s, tau) for s in _conformal_parts(a)[-2:])
     if a.shape[-1] == 1:

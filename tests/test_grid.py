@@ -54,16 +54,6 @@ def test_cosine_coefficients():
     assert np.max(np.abs(rest)) <= 1e-14
 
 
-def test_parseval():
-    grid = TorusGrid(2, 16)
-    rng = np.random.Generator(np.random.Philox(2))
-    f = rng.standard_normal(grid.shape)
-    c = forward_transform(grid, f)
-    lhs = grid.cell_volume * np.sum(f * f)
-    rhs = grid.volume * np.sum(c.real**2 + c.imag**2)
-    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-
 def test_forward_transform_rejects_nonfinite():
     grid = TorusGrid(1, 8)
     f = np.zeros(8)

@@ -66,6 +66,7 @@ def test_build_run_config_full():
             "steps": "5",
             "ic": "smooth:sup=1.2,kcut=3",
             "seed": "9",
+            "out_dir": "runs",
             "snapshot_every": "5",
             "threshold_policy": "ignore",
         }
@@ -897,56 +898,16 @@ def _write_cfg(tmp_path, text):
 
 
 def test_cli_run_ok(tmp_path, capsys):
+    # run ignores well-formed convergence keys (a malformed one is refused)
     cfg = _write_cfg(
         tmp_path,
         f"model=vector\nd=1\nn=8\nm=2\ntau=0.1\nsteps=3\nic=smooth\nseed=1\n"
-        f"out_dir={tmp_path / 'out'}\nsnapshot_every=3\n",
+        f"out_dir={tmp_path / 'out'}\nsnapshot_every=3\ntau_ladder=1/10,1/20\nt_final=1/2\n",
     )
     assert cli.main(["run", cfg]) == 0
     out = capsys.readouterr().out
     assert "dissipation flags: all ok" in out
     assert (tmp_path / "out" / "trace.csv").exists()
-
-
-def test_cli_run_bad_config_exit_1(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "model=vector\nn=7\n")
-    assert cli.main(["run", cfg]) == 1
-    assert "error:" in capsys.readouterr().err
-    for text in (
-        "model=matrix\nd=3\nn=8\nm=2\nic=polar_star\nsteps=1\n",
-        "model=vector\nd=1\nn=8\nm=2\nic=smooth:sup=1,sup=2\nsteps=1\n",
-    ):
-        assert cli.main(["run", _write_cfg(tmp_path, text)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-
-
-def test_cli_run_checks_the_ladder_keys(tmp_path, capsys):
-    # run ignores the convergence keys but refuses a malformed one
-    base = "model=vector\nd=1\nn=8\nsteps=2\n"
-    for bad in ("tau_ladder=not a number\n", "t_final=garbage\n"):
-        assert cli.main(["run", _write_cfg(tmp_path, base + bad)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad number") and len(err.strip().splitlines()) == 1
-    assert cli.main(["run", _write_cfg(tmp_path, base + "tau_ladder=1/10,1/20\nt_final=1/2\n")]) == 0
-    assert "dissipation flags: all ok" in capsys.readouterr().out
-
-
-def test_cli_run_nonfinite_tau_exit_1_without_traceback(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "model=vector\nd=1\nn=16\nm=2\nic=zero\ntau=nan\nsteps=2\n")
-    assert cli.main(["run", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
-
-
-def test_cli_run_oversized_grid_exit_1_without_traceback(tmp_path, capsys):
-    # 100000^3 float64 nodes (7 PiB): numpy refuses the first array at once
-    cfg = _write_cfg(tmp_path, "model=vector\nd=3\nn=100000\nm=3\nic=zero\nsteps=1\n")
-    assert cli.main(["run", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
 
 
 def test_smooth_ic_keeps_fractional_kcut():
@@ -982,15 +943,6 @@ def test_smooth_ic_takes_any_kcut(tmp_path, capsys):
     assert "dissipation flags: all ok" in capsys.readouterr().out
 
 
-def test_cli_usage_error_exit_1(capsys):
-    # argparse's own exit code 2 would collide with the invariant-failure code
-    assert cli.main(["verify", "core"]) == 1
-
-
-def test_cli_run_missing_config_exit_3(tmp_path, capsys):
-    assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 3
-
-
 def test_cli_run_flag_failure_exit_2(tmp_path, monkeypatch, capsys):
     counter = {"v": 0.0}
 
@@ -1020,16 +972,6 @@ def test_cli_converge_ok(tmp_path, capsys):
 _LADDER_BEYOND_BOUND = "d=1\nn=8\nm=2\nic=zero\ntau_ladder=1,1/2\nt_final=1\n"
 
 
-def test_cli_converge_enforce_refuses_a_rung_beyond_the_bound(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "model=matrix\nthreshold_policy=enforce\n" + _LADDER_BEYOND_BOUND)
-    assert cli.main(["converge", cfg]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err
-    assert err.startswith("error: threshold_policy=enforce") and len(err.strip().splitlines()) == 1
-    assert "margin = -" in err
-
-
 def test_cli_converge_judges_the_rungs_not_the_tau_key(tmp_path, capsys):
     # tau = 1 is beyond the bound but unused; both rungs are inside it
     cfg = _write_cfg(tmp_path, "model=matrix\nd=1\nn=8\nm=2\ntau=1\nthreshold_policy=enforce\n"
@@ -1057,40 +999,6 @@ def test_cli_converge_silent_when_the_policy_does_not_apply(tmp_path, capsys, mo
     assert "rate" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["run", "converge"])
-@pytest.mark.parametrize("model", ["vector", "matrix"])
-def test_cli_field_too_large_to_square_exit_1(tmp_path, capsys, command, model):
-    # finite entries whose pointwise squared norm overflows: a config error
-    # that names the limit, not an overflow warning and an invariant failure
-    cfg = _write_cfg(tmp_path, f"model={model}\nd=1\nn=16\nm=2\nic=smooth:sup=1e200\nsteps=1\n"
-                               "tau_ladder=1/40,1/80\nt_final=0.1\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main([command, cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: initial field too large") and len(err.strip().splitlines()) == 1
-    assert "1.341e+154" in err
-
-
-@pytest.mark.parametrize("model", ["vector", "matrix"])
-def test_cli_run_energy_too_large_exit_1(tmp_path, capsys, model):
-    # a finite sup norm whose standard energy overflows: the Gram matrix is
-    # squared, so the limit is the fourth root of the largest double
-    cfg = _write_cfg(tmp_path, f"model={model}\nd=1\nn=16\nm=2\nic=smooth:sup=1e100\nsteps=1\n"
-                               "threshold_policy=ignore\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["run", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: initial field too large") and len(err.strip().splitlines()) == 1
-    assert "energy_standard" in err and "1.158e+77" in err
-
-
-def test_cli_converge_missing_keys_exit_1(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "model=vector\n")
-    assert cli.main(["converge", cfg]) == 1
-
-
 def test_cli_info(tmp_path, capsys):
     grid = TorusGrid(1, 8)
     u = np.zeros((8, 2))
@@ -1101,25 +1009,6 @@ def test_cli_info(tmp_path, capsys):
     assert "model = vector" in out
     assert "step = 5" in out
     assert "sup_norm = 0.0" in out
-
-
-@pytest.mark.parametrize("edit", [
-    (b"layout=components-slowest\n", b"layout=other\n"),
-    (b"layout=components-slowest\n", b""),
-    (b"\nend\n", b"\nextra=1\nend\n"),
-], ids=["other-layout", "no-layout", "unknown-key"])
-def test_snapshot_reader_refuses_foreign_headers(tmp_path, capsys, edit):
-    path = tmp_path / "v.snap"
-    write_snapshot(path, np.zeros((8, 2)), model="vector", grid=TorusGrid(1, 8), m=2, tau=0.1,
-                   step=0)
-    blob = path.read_bytes()
-    assert blob.count(edit[0]) == 1
-    path.write_bytes(blob.replace(*edit))
-    with pytest.raises(SnapshotFormatError):
-        read_snapshot(path)
-    assert cli.main(["info", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and len(err.strip().splitlines()) == 1
 
 
 def test_every_written_snapshot_reads(tmp_path):
@@ -1135,29 +1024,106 @@ def test_every_written_snapshot_reads(tmp_path):
                 assert np.array_equal(back, u) and meta["layout"] == "components-slowest"
 
 
-def test_cli_info_missing_file_exit_3(tmp_path):
-    assert cli.main(["info", str(tmp_path / "ghost.snap")]) == 3
+def test_cli_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: acsplit")
 
 
-def test_cli_info_corrupt_file_exit_3(tmp_path):
-    p = tmp_path / "bad.snap"
-    p.write_bytes(b"garbage\n")
-    assert cli.main(["info", str(p)]) == 3
-
-
-def test_cli_info_bad_geometry_exit_3_without_traceback(tmp_path, capsys):
-    grid = TorusGrid(1, 8)
-    path = tmp_path / "v.snap"
-    write_snapshot(path, np.zeros((8, 2)), model="vector", grid=grid, m=2, tau=0.1, step=0)
-    path.write_bytes(path.read_bytes().replace(b"\nm=2\n", b"\nm=0\n", 1))
-    assert cli.main(["info", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "geometry" in err and len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
-
-
-def test_cli_verify_vector_scope_exit_0(capsys):
+def test_cli_verify_exit_codes(monkeypatch, capsys):
+    # dispatch and exit codes on stub checks; test_check_passes runs the real ones
+    monkeypatch.setattr(verify, "CHECKS", {"core/a": lambda: (True, "stub"),
+                                           "vector/b": lambda: (True, "stub"),
+                                           "matrix/c": lambda: (False, "stub failed")})
     assert cli.main(["verify", "vector"]) == 0
     out = capsys.readouterr().out
-    assert "OK:" in out
-    assert "vector/max-principle" in out
+    assert "core/a" in out and "vector/b" in out and "matrix/" not in out
+    assert out.endswith("OK: 2/2 checks passed\n")
+    assert cli.main(["verify", "matrix"]) == 2
+    out = capsys.readouterr().out
+    assert re.search(r"^FAIL  matrix/c  \(\d+\.\d\ds\)  stub failed$", out, re.M), out
+    assert out.endswith("FAILED: 1/2 checks passed\n")
+
+
+_TOO_LARGE = "model={}\nd=1\nn=16\nm=2\nic=smooth:sup={}\nsteps=1\n"
+_LADDER_KEYS_BASE = "model=vector\nd=1\nn=8\nsteps=2\n"
+_LAYOUT_LINE = b"layout=components-slowest\n"
+
+# (id, argv with {path} for the input file, the input: None for no file, config
+# text or raw bytes, or an (old, new) edit of a valid snapshot; exit code, message)
+_REFUSALS = [
+    ("usage-bad-scope", "verify core", None, 1,
+     "error: acsplit verify: argument scope: invalid choice: 'core'"),
+    ("usage-no-command", "", None, 1, "error: acsplit: the following arguments are required"),
+    ("usage-run-no-config", "run", None, 1,
+     "error: acsplit run: the following arguments are required: config"),
+    ("usage-unknown-command", "bogus", None, 1,
+     "error: acsplit: argument command: invalid choice: 'bogus'"),
+    ("usage-extra-argument", "run a b", None, 1, "error: acsplit: unrecognized arguments: b"),
+    ("run-bad-grid", "run {path}", "model=vector\nn=7\n", 1, "n must be even and >= 4, got 7"),
+    ("run-polar-needs-d2", "run {path}", "model=matrix\nd=3\nn=8\nm=2\nic=polar_star\nsteps=1\n",
+     1, "polar initial data requires d = 2"),
+    ("run-duplicate-ic-parameter", "run {path}",
+     "model=vector\nd=1\nn=8\nm=2\nic=smooth:sup=1,sup=2\nsteps=1\n", 1,
+     "duplicate ic parameter 'sup'"),
+    ("run-bad-tau-ladder", "run {path}", _LADDER_KEYS_BASE + "tau_ladder=not a number\n", 1,
+     "error: bad number"),
+    ("run-bad-t-final", "run {path}", _LADDER_KEYS_BASE + "t_final=garbage\n", 1,
+     "error: bad number"),
+    ("run-nonfinite-tau", "run {path}", "model=vector\nd=1\nn=16\nm=2\nic=zero\ntau=nan\nsteps=2\n",
+     1, "bad number 'nan': not finite"),
+    # 100000^3 float64 nodes (7 PiB): numpy refuses the first array at once
+    ("run-oversized-grid", "run {path}", "model=vector\nd=3\nn=100000\nm=3\nic=zero\nsteps=1\n", 1,
+     "error: out of memory"),
+    ("run-snapshot-every-without-out-dir", "run {path}", "model=vector\nd=1\nn=8\nsnapshot_every=5\n",
+     1, "error: snapshot_every needs out_dir"),
+    ("run-missing-config", "run {path}", None, 3, "No such file or directory"),
+    ("converge-missing-keys", "converge {path}", "model=vector\n", 1,
+     "converge needs tau_ladder (comma-separated) and t_final keys"),
+    ("converge-enforce-beyond-bound", "converge {path}",
+     "model=matrix\nthreshold_policy=enforce\n" + _LADDER_BEYOND_BOUND, 1,
+     "error: threshold_policy=enforce requires m e^tau (e^{2tau}-1) <= 0.43; margin = -"),
+    # finite entries whose pointwise squared norm overflows, and a finite sup
+    # norm whose standard energy (the squared Gram matrix) overflows: a config
+    # error that names the limit, not an overflow warning and an invariant failure
+    *((f"{command}-field-too-large-to-square-{model}", command + " {path}",
+       _TOO_LARGE.format(model, "1e200") + "tau_ladder=1/40,1/80\nt_final=0.1\n", 1,
+       "error: initial field too large: sup_norm overflows for a pointwise norm above about "
+       "1.341e+154") for command in ("run", "converge") for model in ("vector", "matrix")),
+    *((f"run-energy-too-large-{model}", "run {path}",
+       _TOO_LARGE.format(model, "1e100") + "threshold_policy=ignore\n", 1,
+       "error: initial field too large: energy_standard overflows for a pointwise norm above "
+       "about 1.158e+77") for model in ("vector", "matrix")),
+    ("info-missing-file", "info {path}", None, 3, "No such file or directory"),
+    ("info-not-a-snapshot", "info {path}", b"garbage\n", 3, "not a snapshot file"),
+    ("info-bad-geometry", "info {path}", (b"\nm=2\n", b"\nm=0\n"), 3,
+     "bad snapshot geometry: m must be >= 1, got 0"),
+    ("info-other-layout", "info {path}", (_LAYOUT_LINE, b"layout=other\n"), 3,
+     "unsupported snapshot encoding: layout"),
+    ("info-no-layout", "info {path}", (_LAYOUT_LINE, b""), 3,
+     "unsupported snapshot encoding: layout"),
+    ("info-unknown-key", "info {path}", (b"\nend\n", b"\nextra=1\nend\n"), 3,
+     "unknown or repeated snapshot header key 'extra'"),
+]
+
+
+@pytest.mark.parametrize("argv, content, code, message",
+                         [pytest.param(*row, id=name) for name, *row in _REFUSALS])
+def test_cli_refuses_bad_input(tmp_path, capsys, argv, content, code, message):
+    # the boundary contract: the documented exit code, one stderr line that
+    # names the problem, nothing on stdout, no traceback and no warning
+    path = tmp_path / "input"
+    if isinstance(content, tuple):
+        write_snapshot(path, np.zeros((8, 2)), model="vector", grid=TorusGrid(1, 8), m=2, tau=0.1,
+                       step=0)
+        blob = path.read_bytes()
+        assert blob.count(content[0]) == 1
+        path.write_bytes(blob.replace(*content))
+    elif content is not None:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([arg.format(path=path) for arg in argv.split()]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith({1: "error: ", 3: "i/o error: "}[code]), err
+    assert message in err, err

@@ -8,7 +8,6 @@ from acsplit.matrix import (
     DISSIPATION_THRESHOLD,
     det_sign_field,
     g_potential_mat,
-    g_trace_derivative,
     modified_energy_mat,
     nonlinear_propagate_mat,
     polar_ic,
@@ -90,7 +89,7 @@ def test_propagator_rejects_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# potential and derivative
+# potential
 
 
 def test_potential_zero_matrix():
@@ -117,20 +116,6 @@ def test_potential_invariant_under_orthogonal_factors():
     q = _rand_orth(rng, 3)
     r = _rand_orth(rng, 3)
     assert np.max(np.abs(g_potential_mat(q @ a @ r, 0.3) - g_potential_mat(a, 0.3))) <= 1e-12
-
-
-def test_trace_derivative_matches_finite_differences():
-    rng = np.random.Generator(np.random.Philox(29))
-    eps = 1e-5
-    for tau in (0.01, 0.05):
-        for _ in range(30):
-            u0 = rng.standard_normal((2, 2)) * 0.5
-            h = rng.standard_normal((2, 2)) * 0.4
-            fd = (
-                float(g_potential_mat(u0 + eps * h, tau))
-                - float(g_potential_mat(u0 - eps * h, tau))
-            ) / (2 * eps)
-            assert abs(fd - float(g_trace_derivative(u0, h, tau))) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +179,6 @@ def test_modified_energy_constant_orthogonal():
     assert modified_energy_mat(grid, u, tau) == pytest.approx(expected, rel=1e-12)
 
 
-def test_modified_energy_monotone_inside_threshold():
-    grid = TorusGrid(2, 32)
-    tau = 0.01
-    assert threshold_check(tau, 2).satisfied
-    for variant in ("star", "stripe"):
-        u = polar_ic(grid, variant)
-        e_prev = modified_energy_mat(grid, u, tau)
-        for _ in range(40):
-            u = strang_step_mat(grid, u, tau)
-            e = modified_energy_mat(grid, u, tau)
-            assert e <= e_prev + 1e-10 * abs(e_prev)
-            e_prev = e
-
-
 def test_standard_energy_values():
     grid = TorusGrid(2, 8)
     rng = np.random.Generator(np.random.Philox(32))
@@ -216,19 +187,6 @@ def test_standard_energy_values():
     assert abs(standard_energy_mat(grid, u)) <= 1e-13
     z = np.zeros(grid.shape + (2, 2))
     assert standard_energy_mat(grid, z) == pytest.approx(0.5 * grid.volume, rel=1e-13)
-
-
-def test_step_maximum_principle_frobenius():
-    grid = TorusGrid(2, 32)
-    for m in (2, 3):
-        for tau in (0.01, 1.0, 10.0):
-            u = smooth_random_mat_ic(grid, m, math.sqrt(m), seed=33, kcut=4)
-            s_prev = sup_frobenius(u)
-            for _ in range(20):
-                u = strang_step_mat(grid, u, tau)
-                s = sup_frobenius(u)
-                assert s <= max(math.sqrt(m), s_prev) + 1e-12
-                s_prev = s
 
 
 def test_evolve_matches_repeated_steps():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -252,6 +253,33 @@ def test_flow_at_large_t_is_the_polar_factor():
         assert np.array_equal(out[0], [0.0, 0.0]) and np.allclose(out[1], [0.6, -0.8], rtol=1e-15)
         assert tensor.g_scalar(0.0, 1000.0) == 0.0 and np.isfinite(tensor.g_scalar(2.0, 1000.0))
         assert np.all(np.isfinite(tensor.gradient(a, 1000.0)))
+
+
+@pytest.mark.parametrize("a", [np.diag([1e160, 1e-160]), [[3e160, 1e159], [2e159, 4e160]],
+                               np.diag([1e160, 1.0, 1e-160]), [[1e160], [0.0]]],
+                         ids=["2x2-diagonal", "2x2-full", "3x3-diagonal", "column"])
+def test_kernels_refuse_entries_whose_squares_overflow(a):
+    # beyond the bound a squared singular value or a Gram entry overflows, and
+    # the flow sent the 1e160 singular value to 0 (not about 7.106) or gave NaN
+    a = np.asarray(a)
+    m, q = a.shape
+    bound = math.sqrt(np.finfo(np.float64).max / (2 * m * q))
+    for fn in (tensor.nonlinear_propagate, tensor.potential):
+        with pytest.raises(ValueError, match=re.escape(f"{bound:.4g}")):
+            fn(a, 0.01)
+        with pytest.raises(ValueError, match=re.escape(f"{bound:.4g}")):
+            fn(-a, 0.01)
+    # just inside it the entrywise kernels give the limit of S_N on a rank-1
+    # matrix, e^t A / sqrt(expm1(2t) ||A||_F^2), and the potential is never NaN
+    if m == 2:
+        b = np.full((m, q), (1.0 - 1e-12) * bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = tensor.nonlinear_propagate(b, 0.01)
+        limit = 1.0 / math.sqrt(-math.expm1(-0.02) * m * q)
+        assert np.allclose(out, limit, rtol=1e-12, atol=0.0)
+        with np.errstate(over="ignore"):
+            assert not np.isnan(tensor.potential(b, 0.01))
 
 
 # ---------------------------------------------------------------------------

