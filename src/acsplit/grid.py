@@ -15,6 +15,12 @@ which makes u_hat[0] the spatial mean and gives the Parseval identity
 
 Fields are plain numpy arrays whose d leading axes are the spatial axes; any
 trailing axes (vector components, matrix entries) ride along untouched.
+
+Memory order: half_spectrum lays its result out with the trailing axes
+slowest in memory under the same spatial-first shape, so that every transform
+runs over contiguous planes.  The inverse transform, ufuncs, empty_like and
+einsum keep the order of their input, so a field made from such a spectrum
+has it too; this is also the snapshot files' order.
 """
 
 from __future__ import annotations
@@ -160,8 +166,12 @@ def inverse_transform(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
 def half_spectrum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Unnormalized DFT sums of a real field on the half lattice k_last in
     0..n/2 (numpy's rfftn over the spatial axes); the other half is their
-    complex conjugate."""
-    return np.fft.rfftn(_check_field(grid, values), axes=grid.spatial_axes)
+    complex conjugate.  The trailing axes are slowest in memory (see Memory order)."""
+    values = _check_field(grid, values)
+    k = values.ndim - grid.d
+    planes = np.empty(values.shape[grid.d:] + grid._k2r.shape, dtype=np.complex128)
+    out = planes.transpose(tuple(range(k, k + grid.d)) + tuple(range(k)))
+    return np.fft.rfftn(values, axes=grid.spatial_axes, out=out)
 
 
 def half_inverse(grid: TorusGrid, spectrum: np.ndarray) -> np.ndarray:
@@ -187,14 +197,15 @@ def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:
 def _spectral_sum(grid: TorusGrid, coeffs: np.ndarray, symbol) -> float:
     """(2*pi)^d sum_k symbol(|k|^2) |u_hat[k]|^2, trailing axes summed, from the
     coefficients of forward_transform or from a field's half_spectrum."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape[: grid.d] == grid._k2r.shape:  # half lattice, unnormalized
         mult = grid._wr * symbol(grid._k2r) / float(grid.n) ** (2 * grid.d)
     else:
         _check_field(grid, coeffs)
         mult = symbol(grid.wavenumbers_squared)
-    pairs = coeffs.reshape(coeffs.shape[: grid.d] + (-1,)).view(np.float64)
-    power = np.einsum("...i,...i->...", pairs, pairs)  # |c|^2 summed over trailing axes
+    # |c|^2 summed over trailing axes, in any memory order and without a copy
+    flat = coeffs.reshape(coeffs.shape[: grid.d] + (-1,))
+    power = sum(np.einsum("...i,...i->...", x, x) for x in (flat.real, flat.imag))
     return float(grid.volume * np.sum(mult * power))
 
 

@@ -371,7 +371,8 @@ def write_snapshot(
     header = [f"{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}"] + [f"{k}={meta[k]}" for k in SNAPSHOT_KEYS]
     with open(path, "wb") as fh:
         fh.write("\n".join(header + ["end\n"]).encode("ascii"))
-        # the buffer itself, not a bytes copy of it: one copy of the field at most
+        # the buffer itself, not a bytes copy of it: no copy for a pipeline
+        # field, whose component axes are already slowest (see acsplit.grid)
         fh.write(np.ascontiguousarray(disk, dtype="<f8").data)
 
 

@@ -80,10 +80,16 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2) @ a
 
 
+def _column_norms_sq(a: np.ndarray) -> np.ndarray:
+    """The squared column norms of A, the diagonal of A^T A, in the memory
+    order of `a` (a batched matmul would make it components-fastest)."""
+    return np.einsum("...ij,...ij->...j", a, a)
+
+
 def _gram_function(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """A fn(A^T A), with the scalar function fn acting on the Gram eigenvalues."""
     if a.shape[-1] == 1:  # the 1 x 1 Gram matrix is its own eigenvalue
-        return a * fn(_gram(a))
+        return a * fn(_column_norms_sq(a)[..., None, :])
     _, v = np.linalg.eigh(_gram(a))
     av = a @ v
     # the eigenvalues as squared column norms of A V: nonnegative, and accurate
@@ -150,8 +156,10 @@ class StepRecord:
     """A state u_n of a splitting run with step tau, as the run holds it: the
     field, its half spectrum (grid.half_spectrum) and u~_n = S_L(tau/2) u_n,
     where the modified energy lives.  Each is made from what is known on
-    first use and then kept.  The energy functions take a record or a field;
-    a field is first turned into a record."""
+    first use and then kept.  The spectrum has its component axes slowest in
+    memory (grid's Memory order), and so have u~_n and a field made from it; a
+    given field keeps its own order.  The energy functions take a record or a
+    field; a field is first turned into a record."""
 
     def __init__(self, grid: TorusGrid, tau: float | None, **known):
         self.grid, self.tau = grid, tau
@@ -183,6 +191,11 @@ def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
     monitored step, 2 per bare one.  Between steps the generator holds only
     the current record, and during a step only u~_n; the consumer should
     not keep a record past the next step.
+
+    Memory order: u is kept as given, never copied.  Every half_spectrum has
+    the component axes slowest in memory, and the inverse transforms, products
+    and the q = 1 and 2 x 2 flows keep that order (the eigh path's output does
+    not, until its next transform).
     """
     state = StepRecord(grid, tau, field=u)
     del u
@@ -221,7 +234,7 @@ def potential(a: np.ndarray, tau: float) -> np.ndarray:
     if a.shape[-2:] == (2, 2):
         return sum(g_scalar(s * s, tau) for s in _conformal_parts(a)[-2:])
     if a.shape[-1] == 1:
-        lam = _gram(a)[..., 0]
+        lam = _column_norms_sq(a)
     else:  # clipped at 0: round-off can make the smallest slightly negative
         lam = np.maximum(np.linalg.eigvalsh(_gram(a)), 0.0)
     return np.sum(g_scalar(lam, tau), axis=-1)
@@ -285,6 +298,8 @@ def standard_energy(grid: TorusGrid, a) -> float:
     a = _matrices(grid, state.field)
     if a.shape[-2:] == (2, 2):  # ||A^T A - I||_F^2 = sum_i (s_i^2 - 1)^2
         dev = [s * s - 1.0 for s in _conformal_parts(a)[-2:]]
+    elif a.shape[-1] == 1:
+        dev = [_column_norms_sq(a) - 1.0]
     else:
         gram = _gram(a)
         gram[..., range(a.shape[-1]), range(a.shape[-1])] -= 1.0

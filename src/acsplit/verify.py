@@ -22,8 +22,8 @@ from . import matrix as mat
 from . import tensor
 from . import vector as vec
 from .grid import TorusGrid
-from .harness import (DISSIPATION_REL_TOL, ConfigError, EnergyTrace, RunConfig, read_snapshot,
-                      run_experiment)
+from .harness import (DISSIPATION_REL_TOL, ConfigError, EnergyTrace, RunConfig, convergence_study,
+                      read_snapshot, run_experiment)
 from .oracle import integrate_matrix_ode
 
 __all__ = ["CHECKS", "CheckResult", "VerifyReport", "verify_suite"]
@@ -242,6 +242,21 @@ def _energy_monotone(model: str, candidates, steps: int):
     )
 
 
+def _second_order_rate(model: str, cases):
+    """Observed orders of convergence_study on 16^2 grids, for each case
+    (m, ic, seed, ic params, tau ladder, t_final): all in [1.8, 2.1].  Ladders
+    beyond the matrix step-size bound are refused."""
+    rates = [
+        rate
+        for m, ic, seed, params, ladder, t_final in cases
+        for rate in convergence_study(
+            RunConfig(model, d=2, n=16, m=m, tau=ladder[0], ic=ic, ic_params=params, seed=seed,
+                      threshold_policy="enforce"), ladder, t_final).rates
+    ]
+    ok = all(1.8 <= r <= 2.1 for r in rates)  # a NaN rate fails
+    return ok, f"observed orders {', '.join(f'{r:.4f}' for r in rates)}; band [1.8, 2.1]"
+
+
 def _gradient_fd(cases, count: int, seed: int, scales) -> float:
     """Worst |<grad G(A), H> - (G(A + eps H) - G(A - eps H)) / (2 eps)|, eps = 1e-5,
     with G tensor.potential, over `count` normal draws per case (m, q, tau) of
@@ -387,6 +402,9 @@ CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
     "vector/rotation-equivariance":
         lambda: _equivariance(tensor.nonlinear_propagate, (3, 1), 2.0, 37, 0.8, 1e-13, "rotation"),
     "vector/concavity-inequality": _vec_concavity,
+    "vector/second-order-rate": lambda: _second_order_rate("vector", [
+        (2, "smooth_deterministic", 0, {"magnitude": 5.0}, [1 / 200, 1 / 400, 1 / 800], 0.05),
+        (3, "smooth", 39, {"sup": 2.0, "kcut": 3}, [1 / 100, 1 / 200, 1 / 400], 0.1)]),
     "matrix/max-principle": lambda: _max_principle(
         "matrix", ((2, math.sqrt(2)), (3, math.sqrt(3))), (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0),
         20, 40),
@@ -405,6 +423,8 @@ CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
     "matrix/taylor-inequality": _mat_taylor,
     "matrix/svd-reconstruction": _mat_svd_reconstruction,
     "matrix/projection-orthogonality": _mat_projection,
+    "matrix/second-order-rate": lambda: _second_order_rate("matrix", [
+        (2, "smooth", 50, {"sup": 2.0, "kcut": 3}, [1 / 100, 1 / 200, 1 / 400], 0.1)]),
     "harness/determinism": _harness_determinism,
     "harness/restart-consistency": _harness_restart,
 }

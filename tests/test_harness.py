@@ -704,12 +704,12 @@ def test_check_names_in_order():
         "vector/max-principle", "vector/nonlinear-semigroup", "vector/norm-identity",
         "vector/modified-energy-monotone", "vector/closed-form-vs-rk4",
         "vector/potential-gradient-vs-fd", "vector/rotation-equivariance",
-        "vector/concavity-inequality",
+        "vector/concavity-inequality", "vector/second-order-rate",
         "matrix/max-principle", "matrix/nonlinear-semigroup", "matrix/closed-form-vs-rk4",
         "matrix/orthogonal-fixed-point", "matrix/orthogonal-equivariance",
         "matrix/frobenius-ball-invariance", "matrix/modified-energy-monotone",
         "matrix/taylor-inequality", "matrix/svd-reconstruction",
-        "matrix/projection-orthogonality",
+        "matrix/projection-orthogonality", "matrix/second-order-rate",
         "harness/determinism", "harness/restart-consistency",
     ]
 
@@ -770,6 +770,23 @@ def test_merged_checks_fail_on_a_perturbed_flow(monkeypatch, model):
     assert verify._max_principle(*args)[0]
     monkeypatch.setattr(acsplit.tensor, "nonlinear_propagate", scaled)
     assert not verify._max_principle(*args)[0]
+
+
+@pytest.mark.parametrize("model", ["vector", "matrix"])
+def test_rate_check_fails_on_first_order_splitting(monkeypatch, model):
+    # Lie splitting S_N(tau) S_L(tau) is first order: the rate body reads about 1
+    module = acsplit.vector if model == "vector" else acsplit.matrix
+    flow = acsplit.vector.nonlinear_propagate_vec if model == "vector" else acsplit.tensor.nonlinear_propagate
+
+    def lie_evolve(grid, u, tau, steps):
+        for _ in range(steps):
+            u = flow(acsplit.grid.heat_propagate(grid, u, tau), tau)
+        return u
+
+    monkeypatch.setattr(module, f"strang_evolve_{model[:3]}", lie_evolve)
+    ok, detail = verify.CHECKS[f"{model}/second-order-rate"]()
+    rates = [float(r) for r in re.findall(r"\d\.\d{4}", detail)]
+    assert not ok and rates and all(0.9 <= r <= 1.1 for r in rates), detail
 
 
 def test_verify_scope_validation():

@@ -300,3 +300,66 @@ def test_pipeline_records_hold_field_spectrum_and_half_heat_state():
         assert np.max(np.abs(record.u_tilde - heat_propagate(grid, field, 0.5 * tau))) <= 1e-14
         assert np.max(np.abs(record.spectrum - np.fft.rfftn(field, axes=(0, 1)))) <= 1e-12
         assert np.array_equal(field, tensor.strang_evolve(grid, u, tau, n, tensor.nonlinear_propagate))
+
+
+# ---------------------------------------------------------------------------
+# memory order: the pipeline's arrays keep their component axes slowest
+
+LAYOUT_SHAPES = [(3,), (3, 1), (2, 2), (3, 3)]
+
+
+def _flow_for(shape):
+    return vector.nonlinear_propagate_vec if len(shape) == 1 else tensor.nonlinear_propagate
+
+
+def _components_slowest(a, d):
+    """Every component axis longer than 1 has a larger stride than every spatial axis."""
+    return all(s > max(a.strides[:d]) for s, size in zip(a.strides[d:], a.shape[d:]) if size > 1)
+
+
+@pytest.mark.parametrize("shape", LAYOUT_SHAPES, ids=str)
+def test_pipeline_keeps_component_axes_slowest(shape):
+    grid, tau = TorusGrid(2, 16), 0.05
+    u = tensor.smooth_random_ic(grid, shape, 0.8, seed=11)
+    assert not _components_slowest(u, grid.d)  # C order: components fastest
+    states = tensor._strang_states(grid, u, tau, _flow_for(shape))
+    first = next(states)
+    assert first.field is u  # the caller's field, not a copy
+    assert _components_slowest(first.spectrum, grid.d) and _components_slowest(first.u_tilde, grid.d)
+    record = next(states)
+    for a in (record.spectrum, record.u_tilde, record.field):
+        assert _components_slowest(a, grid.d)
+    # the eigh path (q >= 3) runs on the strided view as on a C-ordered copy
+    w = record.u_tilde
+    assert np.array_equal(tensor.nonlinear_propagate(w, tau),
+                          tensor.nonlinear_propagate(np.ascontiguousarray(w), tau))
+
+
+@pytest.mark.parametrize("order", ["C", "F", "sliced"])
+@pytest.mark.parametrize("shape", LAYOUT_SHAPES, ids=str)
+def test_evolve_matches_iterated_steps_in_any_memory_order(shape, order):
+    grid, tau, flow = TorusGrid(2, 16), 0.05, _flow_for(shape)
+    fine = tensor.smooth_random_ic(TorusGrid(2, 32), shape, 0.9, seed=12)
+    u = {"C": np.ascontiguousarray, "F": np.asfortranarray, "sliced": lambda a: a}[order](fine[::2, ::2])
+    want = u
+    for _ in range(4):
+        want = tensor.strang_step(grid, want, tau, flow)
+    assert np.max(np.abs(tensor.strang_evolve(grid, u, tau, 4, flow) - want)) <= 1e-13
+
+
+def test_bare_evolve_peak_memory_in_field_sizes():
+    # the bare pipeline never copies the caller's field: on a warm 64^2 x 2
+    # grid it peaks at 4.403 field sizes (spectra, u~, flow temporaries); a
+    # copy of the field per run reads about 5.4
+    import tracemalloc
+
+    grid = TorusGrid(2, 64)
+    u = vector.smooth_random_ic(grid, 2, 0.9, seed=1)
+    vector.strang_evolve_vec(grid, u, 0.01, 3)  # warm the grid's cached arrays
+    tracemalloc.start()
+    try:
+        vector.strang_evolve_vec(grid, u, 0.01, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * 4.403 * u.nbytes, peak / u.nbytes
