@@ -350,7 +350,10 @@ def test_evolve_matches_iterated_steps_in_any_memory_order(shape, order):
 def test_bare_evolve_peak_memory_in_field_sizes():
     # the bare pipeline never copies the caller's field: on a warm 64^2 x 2
     # grid it peaks at 4.403 field sizes (spectra, u~, flow temporaries); a
-    # copy of the field per run reads about 5.4
+    # copy of the field per run reads about 5.4.  The pinned figure assumes
+    # numpy 2.4's allocation pattern (pocketfft, ufunc and einsum temporaries):
+    # another numpy release that keeps one more small buffer alive can exceed
+    # it with the pipeline unchanged, and then the figure is measured anew
     import tracemalloc
 
     grid = TorusGrid(2, 64)
