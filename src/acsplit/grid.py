@@ -20,7 +20,9 @@ Memory order: half_spectrum lays its result out with the trailing axes
 slowest in memory under the same spatial-first shape, so that every transform
 runs over contiguous planes.  The inverse transform, ufuncs, empty_like and
 einsum keep the order of their input, so a field made from such a spectrum
-has it too; this is also the snapshot files' order.
+has it too; this is also the snapshot files' order.  A 3D half_inverse runs
+its complex passes in place on one buffer it owns (the product with its
+multiplier, or the first pass's output), as half_spectrum's rfftn does.
 """
 
 from __future__ import annotations
@@ -174,9 +176,18 @@ def half_spectrum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(values, axes=grid.spatial_axes, out=out)
 
 
-def half_inverse(grid: TorusGrid, spectrum: np.ndarray) -> np.ndarray:
-    """The real field whose half_spectrum is `spectrum`."""
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=grid.spatial_axes)
+def half_inverse(
+    grid: TorusGrid, spectrum: np.ndarray, multiplier: np.ndarray | None = None
+) -> np.ndarray:
+    """The real field whose half_spectrum is `spectrum`, or `spectrum * multiplier`;
+    `spectrum` is never written."""
+    work = spectrum if multiplier is None else spectrum * multiplier
+    if grid.d < 3:  # one complex pass: run in place, it slowed the 2D star's allocator
+        return np.fft.irfftn(work, s=grid.shape, axes=grid.spatial_axes)
+    # irfftn's passes, the complex ones in place on one buffer of this call's own
+    work = np.fft.ifft(work, axis=0, out=None if work is spectrum else work)
+    np.fft.ifft(work, axis=1, out=work)
+    return np.fft.irfft(work, n=grid.n, axis=2)
 
 
 def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:
@@ -191,7 +202,7 @@ def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:
     if t == 0:
         return np.array(values, copy=True)
     coeffs = half_spectrum(grid, values)
-    return half_inverse(grid, coeffs * grid.heat_multiplier(t, coeffs.ndim))
+    return half_inverse(grid, coeffs, grid.heat_multiplier(t, coeffs.ndim))
 
 
 def _spectral_sum(grid: TorusGrid, coeffs: np.ndarray, symbol) -> float:

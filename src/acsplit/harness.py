@@ -426,8 +426,8 @@ def read_snapshot(path: str | os.PathLike) -> tuple[dict, np.ndarray]:
             )
         if left > size:
             raise SnapshotFormatError("trailing bytes after snapshot payload")
-        # straight into the array, so the field is held at most twice: here
-        # and in the spatial-axes-first copy
+        # straight into the array, which the field then is: its spatial-first
+        # view has the pipeline's component-axes-slowest order (see acsplit.grid)
         disk = np.empty(disk_shape, dtype="<f8")
         got = fh.readinto(disk.data)
         if got != size:
@@ -435,7 +435,7 @@ def read_snapshot(path: str | os.PathLike) -> tuple[dict, np.ndarray]:
                 f"truncated snapshot payload: expected {size} bytes, got {got}"
             )
     fields = np.moveaxis(disk, range(k), range(d, d + k))
-    return meta, np.ascontiguousarray(fields, dtype=np.float64)
+    return meta, fields.astype(np.float64, copy=False)
 
 
 def snapshot_info(path: str | os.PathLike) -> dict:

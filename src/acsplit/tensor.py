@@ -179,7 +179,7 @@ class StepRecord:
 
     @cached_property
     def u_tilde(self) -> np.ndarray:
-        return spectral.half_inverse(self.grid, self.spectrum * self.half_heat)
+        return spectral.half_inverse(self.grid, self.spectrum, self.half_heat)
 
 
 def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
@@ -329,10 +329,10 @@ def smooth_random_ic(
         raise ValueError(f"kcut must be >= 0, got {kcut}")
     rng = np.random.Generator(np.random.Philox(seed))
     raw = rng.standard_normal(grid.shape + tuple(shape))
-    coeffs = np.fft.fftn(raw, axes=grid.spatial_axes)
-    keep = grid.wavenumbers_squared <= kcut * kcut  # inf for a huge kcut; kcut**2 raises
+    coeffs = np.fft.rfftn(raw, axes=grid.spatial_axes)  # C order in, C order out
+    keep = grid._k2r <= kcut * kcut  # inf for a huge kcut; kcut**2 raises
     coeffs *= keep.reshape(keep.shape + (1,) * len(shape))
-    u = np.fft.ifftn(coeffs, axes=grid.spatial_axes).real
+    u = np.fft.irfftn(coeffs, s=grid.shape, axes=grid.spatial_axes)
     sup = sup_norm(u.reshape(grid.shape + (shape[0], -1)))
     if sup == 0:
         return u

@@ -155,6 +155,22 @@ def test_quadratic_forms_from_the_half_spectrum(d):
     assert dirichlet_energy(grid, half) == pytest.approx(dirichlet_energy(grid, full), rel=1e-13)
 
 
+@pytest.mark.parametrize("heat", [False, True], ids=["bare", "multiplier"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_half_inverse_is_irfftn_and_leaves_the_spectrum(d, heat):
+    grid = TorusGrid(d, 8)
+    u = np.random.Generator(np.random.Philox(d)).standard_normal(grid.shape + (3, 2))
+    spectrum = half_spectrum(grid, u)
+    kept = spectrum.copy()
+    mult = grid.heat_multiplier(0.3, spectrum.ndim) if heat else None
+    want = np.fft.irfftn(spectrum if mult is None else spectrum * mult, s=grid.shape,
+                         axes=grid.spatial_axes)
+    got = half_inverse(grid, spectrum, mult)
+    assert np.array_equal(got, want)
+    assert np.array_equal(spectrum, kept)
+    assert min(got.strides[d:]) > max(got.strides[:d])  # components slowest
+
+
 def test_dirichlet_energy_cosine():
     # (1/2) integral of sin^2 = pi/2
     grid = TorusGrid(1, 16)

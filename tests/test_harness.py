@@ -422,7 +422,7 @@ def test_snapshot_header_geometry_property(tmp_path):
     check()
 
 
-def test_read_snapshot_holds_at_most_two_copies(tmp_path):
+def test_read_snapshot_returns_the_disk_array_components_slowest(tmp_path):
     import tracemalloc
 
     grid = TorusGrid(3, 32)
@@ -436,8 +436,9 @@ def test_read_snapshot_holds_at_most_two_copies(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back, u)
-    assert back.flags.c_contiguous and back.flags.writeable
-    assert peak <= 2.1 * u.nbytes, peak / u.nbytes
+    # the spatial-first view of the array read from disk, not a copy of it
+    assert back.flags.writeable and min(back.strides[3:]) > max(back.strides[:3])
+    assert peak <= 1.1 * u.nbytes, peak / u.nbytes
 
 
 def test_snapshot_cadence(tmp_path):
@@ -566,24 +567,33 @@ def test_transforms_per_step(monkeypatch, case):
     def tripwire(*args, **kwargs):
         raise AssertionError("not part of the pipeline")
 
-    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+    for name in ("rfftn", "irfftn", "irfft", "ifft", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, counted(name))
     for owner, name in ((acsplit.grid, "heat_propagate"), (acsplit.grid, "forward_transform"),
                         (acsplit.tensor, "strang_step"), (acsplit.vector, "strang_step_vec"),
                         (acsplit.matrix, "strang_step_mat")):
         monkeypatch.setattr(owner, name, tripwire)
+    def tally():
+        # an inverse is the one call that yields the real field: irfftn, or
+        # at d = 3 irfft after two in-place complex ifft passes
+        inverses = counts.pop("irfftn", 0) + counts.pop("irfft", 0)
+        assert counts.pop("ifft", 0) == (2 * inverses if cfg.d == 3 else 0)
+        return {"inverse": inverses, **counts}
+
     steps = cfg.steps
     run_experiment(cfg, u0)
-    assert counts == {"rfftn": steps + 1, "irfftn": 2 * steps + 1}  # 3 per step
+    assert tally() == {"rfftn": steps + 1, "inverse": 2 * steps + 1}  # 3 per step
     counts.clear()
     _monitors_and_evolve(cfg)[3](grid, u0, cfg.tau, steps)
-    assert counts == {"rfftn": steps + 1, "irfftn": steps + 1}  # 2 per step
+    assert tally() == {"rfftn": steps + 1, "inverse": steps + 1}  # 2 per step
 
 
 def test_monitored_run_peak_memory():
-    # the run holds u~_n, not the previous step's field or spectrum: 6.5
-    # field sizes at peak, against 8.3 when the monitors transformed every
-    # step again, and 7.4 when the generator kept the previous step's record
+    # the run holds u~_n, not the previous step's field or spectrum, and a 3D
+    # inverse transform runs its complex passes in place: 5.27 field sizes at
+    # peak, against 5.79 when each pass allocated its own output (irfftn).
+    # The bound assumes numpy 2.4's allocation pattern (pocketfft, ufunc
+    # temporaries); another release may need it measured anew
     import tracemalloc
 
     cfg = RunConfig(model="vector", d=3, n=32, m=3, tau=0.02, steps=4, ic="smooth", seed=1)
@@ -595,7 +605,7 @@ def test_monitored_run_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.0 * u0.nbytes, peak / u0.nbytes
+    assert peak <= 5.5 * u0.nbytes, peak / u0.nbytes
 
 
 def test_large_tau_runs_stay_finite():

@@ -306,6 +306,9 @@ def test_pipeline_records_hold_field_spectrum_and_half_heat_state():
 # memory order: the pipeline's arrays keep their component axes slowest
 
 LAYOUT_SHAPES = [(3,), (3, 1), (2, 2), (3, 3)]
+# each shape on a 16^2 and an 8^3 grid
+LAYOUT_CASES = [pytest.param(TorusGrid(d, n), shape, id=str(shape) if d == 2 else f"d3-{shape}")
+                for d, n in ((2, 16), (3, 8)) for shape in LAYOUT_SHAPES]
 
 
 def _flow_for(shape):
@@ -317,9 +320,9 @@ def _components_slowest(a, d):
     return all(s > max(a.strides[:d]) for s, size in zip(a.strides[d:], a.shape[d:]) if size > 1)
 
 
-@pytest.mark.parametrize("shape", LAYOUT_SHAPES, ids=str)
-def test_pipeline_keeps_component_axes_slowest(shape):
-    grid, tau = TorusGrid(2, 16), 0.05
+@pytest.mark.parametrize("grid, shape", LAYOUT_CASES)
+def test_pipeline_keeps_component_axes_slowest(grid, shape):
+    tau = 0.05
     u = tensor.smooth_random_ic(grid, shape, 0.8, seed=11)
     assert not _components_slowest(u, grid.d)  # C order: components fastest
     states = tensor._strang_states(grid, u, tau, _flow_for(shape))
@@ -336,11 +339,12 @@ def test_pipeline_keeps_component_axes_slowest(shape):
 
 
 @pytest.mark.parametrize("order", ["C", "F", "sliced"])
-@pytest.mark.parametrize("shape", LAYOUT_SHAPES, ids=str)
-def test_evolve_matches_iterated_steps_in_any_memory_order(shape, order):
-    grid, tau, flow = TorusGrid(2, 16), 0.05, _flow_for(shape)
-    fine = tensor.smooth_random_ic(TorusGrid(2, 32), shape, 0.9, seed=12)
-    u = {"C": np.ascontiguousarray, "F": np.asfortranarray, "sliced": lambda a: a}[order](fine[::2, ::2])
+@pytest.mark.parametrize("grid, shape", LAYOUT_CASES)
+def test_evolve_matches_iterated_steps_in_any_memory_order(grid, shape, order):
+    tau, flow = 0.05, _flow_for(shape)
+    fine = tensor.smooth_random_ic(TorusGrid(grid.d, 2 * grid.n), shape, 0.9, seed=12)
+    coarse = fine[(slice(None, None, 2),) * grid.d]
+    u = {"C": np.ascontiguousarray, "F": np.asfortranarray, "sliced": lambda a: a}[order](coarse)
     want = u
     for _ in range(4):
         want = tensor.strang_step(grid, want, tau, flow)
