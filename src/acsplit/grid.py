@@ -182,7 +182,9 @@ def half_inverse(
     """The real field whose half_spectrum is `spectrum`, or `spectrum * multiplier`;
     `spectrum` is never written."""
     work = spectrum if multiplier is None else spectrum * multiplier
-    if grid.d < 3:  # one complex pass: run in place, it slowed the 2D star's allocator
+    # below 3D irfftn makes one complex pass; whether the 2D star gains from it
+    # in place is open, its time moving with its allocations (ROADMAP O9)
+    if grid.d < 3:
         return np.fft.irfftn(work, s=grid.shape, axes=grid.spatial_axes)
     # irfftn's passes, the complex ones in place on one buffer of this call's own
     work = np.fft.ifft(work, axis=0, out=None if work is spectrum else work)

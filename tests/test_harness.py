@@ -573,6 +573,7 @@ def test_transforms_per_step(monkeypatch, case):
                         (acsplit.tensor, "strang_step"), (acsplit.vector, "strang_step_vec"),
                         (acsplit.matrix, "strang_step_mat")):
         monkeypatch.setattr(owner, name, tripwire)
+
     def tally():
         # an inverse is the one call that yields the real field: irfftn, or
         # at d = 3 irfft after two in-place complex ifft passes
