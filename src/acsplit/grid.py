@@ -20,8 +20,8 @@ Memory order: half_spectrum lays its result out with the trailing axes
 slowest in memory under the same spatial-first shape, so that every transform
 runs over contiguous planes.  The inverse transform, ufuncs, empty_like and
 einsum keep the order of their input, so a field made from such a spectrum
-has it too; this is also the snapshot files' order.  A 3D half_inverse runs
-its complex passes in place on one buffer it owns (the product with its
+has it too; this is also the snapshot files' order.  half_inverse runs its
+complex passes in place on one buffer it owns (the product with its
 multiplier, or the first pass's output), as half_spectrum's rfftn does.
 """
 
@@ -134,6 +134,11 @@ class TorusGrid:
         fields with `field_ndim` axes."""
         return self._broadcast(np.exp(-t * self._k2r), field_ndim)
 
+    def band_mask(self, kcut: float, field_ndim: int) -> np.ndarray:
+        """True where |k|^2 <= kcut^2 on the half lattice, shaped as heat_multiplier."""
+        # kcut * kcut is inf for a huge kcut, where kcut**2 raises
+        return self._broadcast(self._k2r <= kcut * kcut, field_ndim)
+
 
 def _check_field(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
@@ -182,14 +187,10 @@ def half_inverse(
     """The real field whose half_spectrum is `spectrum`, or `spectrum * multiplier`;
     `spectrum` is never written."""
     work = spectrum if multiplier is None else spectrum * multiplier
-    # below 3D irfftn makes one complex pass; whether the 2D star gains from it
-    # in place is open, its time moving with its allocations (ROADMAP O9)
-    if grid.d < 3:
-        return np.fft.irfftn(work, s=grid.shape, axes=grid.spatial_axes)
     # irfftn's passes, the complex ones in place on one buffer of this call's own
-    work = np.fft.ifft(work, axis=0, out=None if work is spectrum else work)
-    np.fft.ifft(work, axis=1, out=work)
-    return np.fft.irfft(work, n=grid.n, axis=2)
+    for ax in grid.spatial_axes[:-1]:
+        work = np.fft.ifft(work, axis=ax, out=None if work is spectrum else work)
+    return np.fft.irfft(work, n=grid.n, axis=grid.d - 1)
 
 
 def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:

@@ -328,11 +328,8 @@ def smooth_random_ic(
     if kcut < 0:
         raise ValueError(f"kcut must be >= 0, got {kcut}")
     rng = np.random.Generator(np.random.Philox(seed))
-    raw = rng.standard_normal(grid.shape + tuple(shape))
-    coeffs = np.fft.rfftn(raw, axes=grid.spatial_axes)  # C order in, C order out
-    keep = grid._k2r <= kcut * kcut  # inf for a huge kcut; kcut**2 raises
-    coeffs *= keep.reshape(keep.shape + (1,) * len(shape))
-    u = np.fft.irfftn(coeffs, s=grid.shape, axes=grid.spatial_axes)
+    coeffs = spectral.half_spectrum(grid, rng.standard_normal(grid.shape + tuple(shape)))
+    u = spectral.half_inverse(grid, coeffs, grid.band_mask(kcut, coeffs.ndim))
     sup = sup_norm(u.reshape(grid.shape + (shape[0], -1)))
     if sup == 0:
         return u

@@ -164,7 +164,7 @@ def test_random_direction_ic_properties():
 
 
 def test_smooth_random_ic_band_limited_and_scaled():
-    # the real transform pair on the half lattice: 4.77 field sizes at peak
+    # the real transform pair on the half lattice: 3.73 field sizes at peak
     # on a warm grid, against 7.28 for the complex pair on the full lattice.
     # The bound assumes numpy 2.4's allocation pattern (pocketfft, ufunc
     # temporaries); another release may need it measured anew
