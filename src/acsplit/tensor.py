@@ -102,11 +102,15 @@ def _gram_function(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.
 def _conformal_parts(a: np.ndarray) -> tuple[np.ndarray, ...]:
     """(e, h, f, g, Q, R, s1, s2) of 2 x 2 matrices A = conformal part [[e, -h], [h, e]]
     + anticonformal part [[f, g], [g, -f]]: with Q = |(e, h)| and R = |(f, g)| the
-    singular values are s1 = Q + R and the signed s2 = det A / s1 (0 where s1 is)."""
+    singular values are s1 = Q + R and the signed s2 = det A / s1 (0 where s1 is).
+    Q = sqrt(e^2 + h^2) costs a quarter of hypot, and _checked's cap sqrt(max / 8)
+    on the entries keeps e^2 + h^2 below max / 4.  Below about 1e-154 the squares
+    underflow and Q and R lose relative accuracy, not absolute (about 1e-161),
+    which moves the flow by no more than that beside its factor e^t."""
     p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     det = p * d - b * c  # first, while its temporaries are the only ones
     e, h, f, g = 0.5 * (p + d), 0.5 * (c - b), 0.5 * (p - d), 0.5 * (c + b)
-    q, r = np.hypot(e, h), np.hypot(f, g)
+    q, r = np.sqrt(e * e + h * h), np.sqrt(f * f + g * g)
     s1 = q + r
     s2 = np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0)
     return e, h, f, g, q, r, s1, s2
@@ -293,18 +297,11 @@ def modified_energy(grid: TorusGrid, a, tau: float, potential_fn: Callable) -> f
 
 def standard_energy(grid: TorusGrid, a) -> float:
     """Standard energy int (1/2)||grad A||_F^2 + (1/4)||A^T A - I||_F^2 dx, of a
-    field or a StepRecord."""
+    field or a StepRecord, from the Gram matrix for every shape."""
     state = _record(grid, a)
     a = _matrices(grid, state.field)
-    if a.shape[-2:] == (2, 2):  # ||A^T A - I||_F^2 = sum_i (s_i^2 - 1)^2
-        dev = [s * s - 1.0 for s in _conformal_parts(a)[-2:]]
-    elif a.shape[-1] == 1:
-        dev = [_column_norms_sq(a) - 1.0]
-    else:
-        gram = _gram(a)
-        gram[..., range(a.shape[-1]), range(a.shape[-1])] -= 1.0
-        dev = [gram]
-    pot = 0.25 * grid.cell_volume * sum(float(np.sum(x * x)) for x in dev)
+    dev = np.einsum("...ki,...kj->...ij", a, a) - np.eye(a.shape[-1])
+    pot = 0.25 * grid.cell_volume * float(np.sum(dev * dev))
     return spectral.dirichlet_energy(grid, state.spectrum) + pot
 
 

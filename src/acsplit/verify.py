@@ -127,6 +127,21 @@ def _parseval():
     return err <= 1e-12, f"Parseval rel defect {err:.2e}"
 
 
+def _half_lattice_roundtrip():
+    # the pair the runs use, and Parseval with the half lattice's mode weights
+    # _wr, through the sum every quadratic form takes
+    rng = np.random.Generator(np.random.Philox(12))
+    trip = parseval = 0.0
+    for grid in (TorusGrid(d, 16) for d in (1, 2, 3)):
+        f = rng.standard_normal(grid.shape + (2,))
+        h = spectral.half_spectrum(grid, f)
+        trip = max(trip, np.max(np.abs(spectral.half_inverse(grid, h) - f)) / np.max(np.abs(f)))
+        lhs = grid.cell_volume * np.sum(f * f)
+        parseval = max(parseval, abs(spectral._spectral_sum(grid, h, np.ones_like) - lhs) / lhs)
+    ok = trip <= 1e-12 and parseval <= 1e-12
+    return ok, f"d = 1, 2, 3: round-trip rel err {trip:.2e}; Parseval rel defect {parseval:.2e}"
+
+
 def _heat_contraction():
     # band-limited random data: the discrete kernel's small negative lobes on
     # under-resolved scales make rough data overshoot slightly (see README)
@@ -383,6 +398,7 @@ def _harness_restart():
 CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
     "core/transform-round-trip": _roundtrip,
     "core/parseval": _parseval,
+    "core/half-lattice-round-trip": _half_lattice_roundtrip,
     "core/heat-sup-contraction": _heat_contraction,
     "core/heat-mean-preservation": _heat_mean,
     "core/quadratic-form-small-tau-limit": _quadratic_limit,

@@ -710,8 +710,9 @@ def test_check_passes(name):
 
 def test_check_names_in_order():
     assert list(verify.CHECKS) == [
-        "core/transform-round-trip", "core/parseval", "core/heat-sup-contraction",
-        "core/heat-mean-preservation", "core/quadratic-form-small-tau-limit",
+        "core/transform-round-trip", "core/parseval", "core/half-lattice-round-trip",
+        "core/heat-sup-contraction", "core/heat-mean-preservation",
+        "core/quadratic-form-small-tau-limit",
         "vector/max-principle", "vector/nonlinear-semigroup", "vector/norm-identity",
         "vector/modified-energy-monotone", "vector/closed-form-vs-rk4",
         "vector/potential-gradient-vs-fd", "vector/rotation-equivariance",
@@ -739,6 +740,23 @@ def test_verify_suite_scopes_by_name_prefix(monkeypatch):
                         report.format_lines()[3])
     assert [r.name for r in verify_suite("vector").results] == ["core/a", "vector/b", "core/e"]
     assert [r.name for r in verify_suite("all").results] == list(stubs)
+
+
+def test_half_lattice_check_fails_on_a_misweighted_zero_plane(monkeypatch):
+    # the plane k_last = 0 holds its conjugates already: weighting it 2, like
+    # the inner planes, breaks Parseval
+    check = verify.CHECKS["core/half-lattice-round-trip"]
+    assert check()[0]
+    real = TorusGrid._wr.func
+
+    def misweighted(grid):
+        wr = real(grid)
+        wr[..., 0] = 2.0
+        return wr
+
+    monkeypatch.setattr(TorusGrid, "_wr", property(misweighted))
+    ok, detail = check()
+    assert not ok and float(re.search(r"Parseval rel defect (\S+)", detail)[1]) > 1e-12, detail
 
 
 @pytest.mark.parametrize("model", ["vector", "matrix"])

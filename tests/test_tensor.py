@@ -160,6 +160,87 @@ def test_2x2_runs_need_no_eigendecomposition(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the 2 x 2 kernel at the ends of the float64 range, where the squares in
+# Q = sqrt(e^2 + h^2) and R = sqrt(f^2 + g^2) underflow or come near overflow
+
+EXTREMES = ["tiny-1e-300", "tiny-1e-160", "conformal-1e-160", "anticonformal-1e-160", "near-bound"]
+
+
+def _from_parts(e, h, f, g):
+    """2 x 2 matrices [[e, -h], [h, e]] + [[f, g], [g, -f]]."""
+    return np.stack([np.stack([e + f, g - h], -1), np.stack([g + h, e - f], -1)], -2)
+
+
+def _extreme_inputs(kind, count=40):
+    rng = np.random.Generator(np.random.Philox(70 + EXTREMES.index(kind)))
+    if kind.startswith("tiny"):
+        return rng.standard_normal((count, 2, 2)) * float(kind[5:])
+    x, y = rng.standard_normal((2, count))
+    zero = np.zeros(count)
+    # one part of order 1 and the other of order 1e-160, each entry holding
+    # only one of them, so that rounding loses neither
+    if kind == "conformal-1e-160":
+        return np.concatenate([_from_parts(zero, 1e-160 * x, y, zero),
+                               _from_parts(1e-160 * x, zero, zero, y)])
+    if kind == "anticonformal-1e-160":
+        return np.concatenate([_from_parts(y, zero, zero, 1e-160 * x),
+                               _from_parts(zero, y, 1e-160 * x, zero)])
+    # 0.99 of the refusal bound sqrt(max / 8): random draws, a scaled rotation
+    # and a scaled reflection with every entry that large
+    a = rng.standard_normal((count, 2, 2))
+    a /= np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+    a = np.concatenate([a, [[[1.0, -1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, -1.0]]]])
+    return 0.99 * math.sqrt(np.finfo(np.float64).max / 8) * a
+
+
+# t >= 1: at smaller t the potential's lam / t term overflows near the bound
+@pytest.mark.parametrize("t", [1.0, 10.0])
+@pytest.mark.parametrize("kind", EXTREMES)
+def test_2x2_kernel_at_the_ends_of_the_float_range(kind, t):
+    a = _extreme_inputs(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, pot = tensor.nonlinear_propagate(a, t), tensor.potential(a, t)
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(pot))
+    # sigma(A) = c sigma(A / c), c the largest entry: no under- or overflow
+    c = np.max(np.abs(a), axis=(-2, -1))
+    u, s, vt = np.linalg.svd(a / c[:, None, None])
+    s *= c[:, None]
+    if kind.startswith("tiny"):  # S_N(t) A = e^t A (1 + O(sigma^2)), and sigma^2 < 1e-300
+        ref = math.exp(t) * a
+    else:
+        ref = (u * (s * tensor._flow_factor(s * s, t))[:, None, :]) @ vt
+    err = np.max(np.abs(got - ref), axis=(-2, -1))
+    assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=(-2, -1)))
+    pot_ref = np.sum(tensor.g_scalar(s * s, t), axis=-1)
+    assert _worst_excess(pot[:, None], pot_ref[:, None]) <= 0
+
+
+# ---------------------------------------------------------------------------
+# the standard potential (1/4)||A^T A - I||_F^2 = (1/4) sum_i (sigma_i^2 - 1)^2
+
+
+@pytest.mark.parametrize("kind", ["random", "near-orthogonal", "rank-deficient"])
+@pytest.mark.parametrize("m,q", [(3, 1), (2, 2), (3, 3)])
+def test_standard_potential_is_the_singular_value_sum(monkeypatch, m, q, kind):
+    monkeypatch.setattr("acsplit.grid.dirichlet_energy", lambda grid, spectrum: 0.0)
+    grid = TorusGrid(2, 8)
+    shape = grid.shape + (m, q)
+    rng = np.random.Generator(np.random.Philox(90 + 10 * m + q))
+    if kind == "random":
+        u = rng.standard_normal(shape) * 1.5
+    elif kind == "rank-deficient":  # rank q - 1: the zero field for q = 1
+        x = rng.standard_normal(grid.shape + (m, q - 1))
+        u = x @ np.swapaxes(rng.standard_normal(grid.shape + (q, q - 1)), -1, -2)
+    else:  # orthonormal columns (the star's data for 2 x 2), moved by 1e-3
+        base = matrix.polar_ic(grid, "star") if m == q == 2 else np.linalg.qr(rng.standard_normal(shape))[0]
+        u = base + 1e-3 * rng.standard_normal(shape)
+    s = np.linalg.svd(u, compute_uv=False)
+    expected = 0.25 * grid.cell_volume * np.sum((s * s - 1.0) ** 2)
+    assert tensor.standard_energy(grid, u) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
 # the kernel against the RK4 oracle
 
 
