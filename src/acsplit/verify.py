@@ -132,7 +132,8 @@ def _half_lattice_roundtrip():
     # _wr, through the sum every quadratic form takes
     rng = np.random.Generator(np.random.Philox(12))
     trip = parseval = 0.0
-    for grid in (TorusGrid(d, 16) for d in (1, 2, 3)):
+    for d in (1, 2, 3):
+        grid = TorusGrid(d, 16)
         f = rng.standard_normal(grid.shape + (2,))
         h = spectral.half_spectrum(grid, f)
         trip = max(trip, np.max(np.abs(spectral.half_inverse(grid, h) - f)) / np.max(np.abs(f)))
