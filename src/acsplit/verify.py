@@ -273,6 +273,23 @@ def _second_order_rate(model: str, cases):
     return ok, f"observed orders {', '.join(f'{r:.4f}' for r in rates)}; band [1.8, 2.1]"
 
 
+def _energy_gap(model: str, seed: int):
+    """The abstract's O(tau) gap between the modified and the standard energy:
+    max delta_e(tau/2) / max delta_e(tau) along monitored runs to t = 0.1 at
+    m = 2 from smooth data, at tau = 1e-2 and 1e-3, in criterion 09's band
+    [0.35, 0.65].  Every tau is inside the matrix step-size bound."""
+    def max_gap(tau):
+        trace = _trajectory(model, 2, tau, round(0.1 / tau), "smooth", seed)
+        return float(np.max(trace.column("delta_e")))
+
+    taus = (1e-2, 1e-3)
+    ratios = [max_gap(tau / 2) / max_gap(tau) for tau in taus]
+    ok = all(0.35 <= r <= 0.65 for r in ratios)  # a NaN ratio fails
+    return ok, ("max delta_e(tau/2) / max delta_e(tau): "
+                + ", ".join(f"{r:.4f} at tau = {tau:g}" for r, tau in zip(ratios, taus))
+                + "; band [0.35, 0.65]")
+
+
 def _gradient_fd(cases, count: int, seed: int, scales) -> float:
     """Worst |<grad G(A), H> - (G(A + eps H) - G(A - eps H)) / (2 eps)|, eps = 1e-5,
     with G tensor.potential, over `count` normal draws per case (m, q, tau) of
@@ -422,6 +439,7 @@ CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
     "vector/second-order-rate": lambda: _second_order_rate("vector", [
         (2, "smooth_deterministic", 0, {"magnitude": 5.0}, [1 / 200, 1 / 400, 1 / 800], 0.05),
         (3, "smooth", 39, {"sup": 2.0, "kcut": 3}, [1 / 100, 1 / 200, 1 / 400], 0.1)]),
+    "vector/energy-gap-linear-in-tau": lambda: _energy_gap("vector", 51),
     "matrix/max-principle": lambda: _max_principle(
         "matrix", ((2, math.sqrt(2)), (3, math.sqrt(3))), (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0),
         20, 40),
@@ -442,6 +460,7 @@ CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
     "matrix/projection-orthogonality": _mat_projection,
     "matrix/second-order-rate": lambda: _second_order_rate("matrix", [
         (2, "smooth", 50, {"sup": 2.0, "kcut": 3}, [1 / 100, 1 / 200, 1 / 400], 0.1)]),
+    "matrix/energy-gap-linear-in-tau": lambda: _energy_gap("matrix", 52),
     "harness/determinism": _harness_determinism,
     "harness/restart-consistency": _harness_restart,
 }

@@ -717,11 +717,13 @@ def test_check_names_in_order():
         "vector/modified-energy-monotone", "vector/closed-form-vs-rk4",
         "vector/potential-gradient-vs-fd", "vector/rotation-equivariance",
         "vector/concavity-inequality", "vector/second-order-rate",
+        "vector/energy-gap-linear-in-tau",
         "matrix/max-principle", "matrix/nonlinear-semigroup", "matrix/closed-form-vs-rk4",
         "matrix/orthogonal-fixed-point", "matrix/orthogonal-equivariance",
         "matrix/frobenius-ball-invariance", "matrix/modified-energy-monotone",
         "matrix/taylor-inequality", "matrix/svd-reconstruction",
         "matrix/projection-orthogonality", "matrix/second-order-rate",
+        "matrix/energy-gap-linear-in-tau",
         "harness/determinism", "harness/restart-consistency",
     ]
 
@@ -818,6 +820,19 @@ def test_rate_check_fails_on_first_order_splitting(monkeypatch, model):
     assert not ok and rates and all(0.9 <= r <= 1.1 for r in rates), detail
 
 
+@pytest.mark.parametrize("model", ["vector", "matrix"])
+def test_energy_gap_check_fails_on_a_gap_that_does_not_shrink(monkeypatch, model):
+    # a tau-independent offset on the modified energy, large against the
+    # O(tau) gap, keeps the gap O(1): halving tau leaves it about the same
+    module = acsplit.vector if model == "vector" else acsplit.matrix
+    name = f"modified_energy_{model[:3]}"
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda grid, a, tau: real(grid, a, tau) + 100.0)
+    ok, detail = verify.CHECKS[f"{model}/energy-gap-linear-in-tau"]()
+    ratios = [float(r) for r in re.findall(r"\d\.\d{4}", detail)]
+    assert not ok and len(ratios) == 2 and all(r > 0.65 for r in ratios), detail
+
+
 def test_verify_scope_validation():
     with pytest.raises(ConfigError):
         verify_suite("everything")
@@ -884,7 +899,9 @@ def test_vector_energy_check_fails_on_rising_energy(monkeypatch):
     monkeypatch.setattr(acsplit.vector, "modified_energy_vec", _rising_energy())
     report = verify_suite("vector")
     failed = [r.name for r in report.results if not r.ok]
-    assert failed == ["vector/modified-energy-monotone"], "\n".join(report.format_lines())
+    # the gap check reads the same modified energy
+    assert failed == ["vector/modified-energy-monotone", "vector/energy-gap-linear-in-tau"], (
+        "\n".join(report.format_lines()))
 
 
 def test_matrix_energy_check_counts_rising_energy(monkeypatch):
@@ -1057,6 +1074,19 @@ def test_cli_info(tmp_path, capsys):
     assert "sup_norm = 0.0" in out
 
 
+@pytest.mark.parametrize("entry", [1e154, 1e200])
+def test_cli_info_prints_inf_above_the_sup_limit(tmp_path, capsys, entry):
+    # finite entries whose pointwise norm exceeds sqrt(float64 max): inf, no warning
+    path = tmp_path / "big.snap"
+    write_snapshot(path, np.full((8, 2), entry), model="vector", grid=TorusGrid(1, 8), m=2,
+                   tau=0.1, step=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["info", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"max_entry = {entry}" in out and "sup_norm = inf" in out
+
+
 def test_every_written_snapshot_reads(tmp_path):
     rng = np.random.Generator(np.random.Philox(14))
     path = tmp_path / "f.snap"
@@ -1139,6 +1169,15 @@ _REFUSALS = [
        _TOO_LARGE.format(model, "1e100") + "threshold_policy=ignore\n", 1,
        "error: initial field too large: energy_standard overflows for a pointwise norm above "
        "about 1.158e+77") for model in ("vector", "matrix")),
+    # the same rule in both commands, also where the standard energy's spectrum
+    # overflows to inf and its zero weight at k = 0 makes it NaN
+    *((f"{command}-energy-too-large{where}-{model}", command + " {path}",
+       _TOO_LARGE.format(model, sup) + "tau_ladder=1/40,1/80\nt_final=0.1\n", 1,
+       "error: initial field too large: energy_standard overflows for a pointwise norm above "
+       "about 1.158e+77")
+      for command, where, sup in (("converge", "", "1e100"), ("run", "-near-the-sup-limit", "1e154"),
+                                  ("converge", "-near-the-sup-limit", "1e154"))
+      for model in ("vector", "matrix")),
     ("info-missing-file", "info {path}", None, 3, "No such file or directory"),
     ("info-not-a-snapshot", "info {path}", b"garbage\n", 3, "not a snapshot file"),
     ("info-bad-geometry", "info {path}", (b"\nm=2\n", b"\nm=0\n"), 3,
