@@ -401,6 +401,10 @@ def _read_snapshot_header(fh) -> dict:
         meta.update({k: kind(meta[k]) for k, kind in SNAPSHOT_KEYS.items() if kind is not str})
     except (KeyError, ValueError) as e:
         raise SnapshotFormatError(f"incomplete snapshot header: {e}") from e
+    if not 0 < meta["tau"] < math.inf:  # a NaN tau fails too
+        raise SnapshotFormatError(f"bad snapshot tau: must be finite and > 0, got {meta['tau']}")
+    if meta["step"] < 0:
+        raise SnapshotFormatError(f"bad snapshot step: must be >= 0, got {meta['step']}")
     if bad := [k for k, v in _ENCODING.items() if meta.get(k) != v]:
         raise SnapshotFormatError(f"unsupported snapshot encoding: {', '.join(bad)}")
     if why := geometry_error(meta["d"], meta["n"], meta["m"]):
@@ -597,8 +601,8 @@ def convergence_study(
     if len(tau_ladder) < 2:
         raise ConfigError("tau_ladder needs at least two entries")
     taus = [float(t) for t in tau_ladder]
-    if any(t <= 0 for t in taus):
-        raise ConfigError("tau_ladder entries must be > 0")
+    if not all(0 < t < math.inf for t in taus):  # a NaN entry fails too
+        raise ConfigError(f"tau_ladder entries must be finite and > 0, got {taus}")
     for a, b in zip(taus, taus[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ConfigError(

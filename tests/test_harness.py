@@ -694,6 +694,8 @@ def test_convergence_ladder_validation():
         convergence_study(cfg, [0.1], 0.2)
     with pytest.raises(ConfigError, match="integer multiple"):
         convergence_study(cfg, [0.1, 0.05], 0.13)
+    with pytest.raises(ConfigError, match="finite and > 0"):
+        convergence_study(cfg, [math.nan, 0.05], 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +725,7 @@ def test_check_names_in_order():
         "matrix/frobenius-ball-invariance", "matrix/modified-energy-monotone",
         "matrix/taylor-inequality", "matrix/svd-reconstruction",
         "matrix/projection-orthogonality", "matrix/second-order-rate",
-        "matrix/energy-gap-linear-in-tau",
+        "matrix/energy-gap-linear-in-tau", "matrix/star-defect-collapses",
         "harness/determinism", "harness/restart-consistency",
     ]
 
@@ -882,7 +884,26 @@ def test_vector_max_principle_check_fails_on_growing_sup(monkeypatch):
     monkeypatch.setattr(acsplit.vector, "sup_magnitude", growing_sup)
     ok, detail = verify.CHECKS["vector/max-principle"]()
     assert not ok
-    assert detail == "worst sup excess +4.01e-01"
+    assert detail == "worst sup excess +4.01e-01; whole-run excess +2.70e+00"
+
+
+@pytest.mark.parametrize("model", ["vector", "matrix"])
+def test_max_principle_check_fails_on_a_creeping_sup(monkeypatch, model):
+    # a sup norm 5e-13 higher at each row keeps every one-step excess within
+    # 1e-12 but ends the run 1e-12 above its start: the whole-run bound fails
+    module, name = ((acsplit.vector, "sup_magnitude") if model == "vector"
+                    else (acsplit.matrix, "sup_frobenius"))
+    real, calls = getattr(module, name), []
+
+    def creeping(u):
+        calls.append(1)
+        return real(u) + 5e-13 * len(calls)
+
+    monkeypatch.setattr(module, name, creeping)
+    floor = 1.0 if model == "vector" else math.sqrt(2)
+    ok, detail = verify._max_principle(model, ((2, floor),), (1000.0,), 3, 0)
+    step, whole = (float(x) for x in re.findall(r"[+-]\d\.\d\de[+-]\d\d", detail))
+    assert not ok and step <= 1e-12 < whole, detail
 
 
 def _rising_energy():
@@ -912,6 +933,16 @@ def test_matrix_energy_check_counts_rising_energy(monkeypatch):
 
 
 @pytest.mark.parametrize("model", ["vector", "matrix"])
+def test_energy_check_fails_on_an_energy_that_never_drops(monkeypatch, model):
+    # no step rises, but a certified trajectory must end below where it started
+    module = acsplit.vector if model == "vector" else acsplit.matrix
+    monkeypatch.setattr(module, f"modified_energy_{model[:3]}", lambda grid, a, tau: 1.0)
+    ok, detail = verify._energy_monotone(model, [(0.01, "smooth", 0, {})], 2)
+    assert not ok and detail.endswith("0 dissipation-flag failures, worst rel increase "
+                                      "+0.00e+00, 1 ending no lower than they start"), detail
+
+
+@pytest.mark.parametrize("model", ["vector", "matrix"])
 def test_energy_check_fails_on_a_nan_rise(monkeypatch, model):
     # a NaN is no rise below the tolerance: the step fails in either model
     candidates = [(0.01, "smooth", 0, {})]
@@ -926,7 +957,7 @@ def test_energy_check_fails_on_a_nan_rise(monkeypatch, model):
 def test_vector_energy_check_counts_every_trajectory():
     ok, detail = verify.CHECKS["vector/modified-energy-monotone"]()
     assert ok
-    assert detail.startswith("8 certified trajectories, 0 skipped by threshold, "
+    assert detail.startswith("12 certified trajectories, 0 skipped by threshold, "
                              "0 dissipation-flag failures, worst rel increase"), detail
 
 
@@ -948,6 +979,34 @@ def test_dissipation_check_gates_on_threshold(monkeypatch):
     ok, (ran, skipped, bad) = _dissipation_counts()
     assert (ran, skipped) == (4, 0)
     assert ok and bad == 0
+
+
+@pytest.mark.parametrize(
+    "counts, rule",
+    [
+        ([4723, 4295, 2991, 0, 0, 0], None),
+        ([4723, 4723, 2991, 0, 0, 0], "does not strictly decrease"),
+        ([4723, 4295, 0, 12, 0, 0], "re-forms"),
+        ([4723, 4295, 2991, 911, 100, 50], "never collapses"),
+        ([0, 0, 0, 0, 0, 0], "empty at the first snapshot"),
+        ([4723, 0, 0, 0, 0, 0], "partly shrunk"),
+    ],
+    ids=["measured", "plateau", "re-nucleation", "no-collapse", "empty-start",
+         "instant-wipe-out"],
+)
+def test_star_collapse_predicate_on_synthetic_counts(counts, rule):
+    violation = verify._star_collapse_violation(counts)
+    assert rule in (violation or "") if rule else violation is None, violation
+
+
+@pytest.mark.parametrize("name, mutant, rule", [
+    ("det_sign_field", lambda real: lambda u: np.ones(u.shape[:-2]), "does not strictly decrease"),
+    ("sup_frobenius", lambda real: lambda u: real(u) + 1e-9, "Frobenius sup excess +1.00e-09"),
+], ids=["region-never-shrinks", "sup-above-the-bound"])
+def test_star_check_fails_on_a_mutant(monkeypatch, name, mutant, rule):
+    monkeypatch.setattr(acsplit.matrix, name, mutant(getattr(acsplit.matrix, name)))
+    ok, detail = verify.CHECKS["matrix/star-defect-collapses"]()
+    assert not ok and rule in detail, detail
 
 
 # ---------------------------------------------------------------------------
@@ -1188,6 +1247,12 @@ _REFUSALS = [
      "unsupported snapshot encoding: layout"),
     ("info-unknown-key", "info {path}", (b"\nend\n", b"\nextra=1\nend\n"), 3,
      "unknown or repeated snapshot header key 'extra'"),
+    ("info-nonfinite-tau", "info {path}", (b"\ntau=0.1\n", b"\ntau=nan\n"), 3,
+     "bad snapshot tau: must be finite and > 0, got nan"),
+    ("info-nonpositive-tau", "info {path}", (b"\ntau=0.1\n", b"\ntau=-1.0\n"), 3,
+     "bad snapshot tau: must be finite and > 0, got -1.0"),
+    ("info-negative-step", "info {path}", (b"\nstep=0\n", b"\nstep=-7\n"), 3,
+     "bad snapshot step: must be >= 0, got -7"),
 ]
 
 
