@@ -1,320 +1,72 @@
-"""End-to-end acceptance checks, one test per headline guarantee.
+"""One test per headline guarantee, each answered by `acsplit.verify` entries.
 
-Run `pytest tests/test_acceptance.py -v` for the per-criterion pass/fail
-report; each passing test also prints one summary line with the measured
-numbers.  The whole file stays under a few minutes on a laptop; criterion 1
-(the convergence ladder) and criterion 10 (the 128^2 defect run) dominate.
+Every property is asserted once, by the predicate of its `verify.CHECKS`
+entry; a criterion here passes when all of its entries pass.  The entries'
+results are shared with `test_check_passes`, so nothing runs twice.
+`acsplit verify all` prints the same per-claim report with measured numbers.
 """
 
-import numpy as np
-import pytest
+from acsplit import verify
 
-from acsplit.grid import TorusGrid
-from acsplit.harness import RunConfig, convergence_study, run_experiment
-from acsplit.matrix import (
-    det_sign_field,
-    g_potential_mat,
-    g_trace_derivative,
-    nonlinear_propagate_mat,
-    polar_ic,
-    strang_evolve_mat,
-    sup_frobenius,
-    taylor_inequality_check,
-    threshold_check,
-)
-from acsplit.oracle import OracleConfig, integrate_matrix_ode, integrate_vector_ode
-from acsplit.vector import concavity_inequality_check_vec, nonlinear_propagate_vec
-
-
-def _report(n: int, detail: str) -> None:
-    print(f"PASS criterion {n}: {detail}")
-
-
-# ---------------------------------------------------------------------------
-# 1. second-order convergence of the split scheme
-
-
-def test_criterion_01_convergence_order():
-    cfg = RunConfig(
-        model="vector", d=2, n=64, tau=1.0, steps=1,
-        ic="smooth_deterministic", ic_params={"magnitude": 5.0},
-    )
-    ladder = [1 / 3200, 1 / 6400, 1 / 12800, 1 / 25600, 1 / 51200, 1 / 102400]
-    rep = convergence_study(cfg, ladder, t_final=0.01)
-    last_three = rep.rates[-3:]
-    assert len(rep.rates) == 5
-    for rate in last_three:
-        assert 1.8 <= rate <= 2.1, f"rates {rep.rates}"
-    _report(1, f"last three observed rates {[round(r, 4) for r in last_three]} in [1.8, 2.1]")
-
-
-# ---------------------------------------------------------------------------
-# 2 + 3. vector sup-norm recursion and unconditional modified-energy decay
-# (same eight trajectories serve both checks)
-
-VEC_TAUS = (1e-4, 0.1, 1.0, 10.0)
-VEC_SUPS = (0.8, 2.0)
-
-
-@pytest.fixture(scope="module")
-def vector_sweep_traces():
-    traces = {}
-    for tau in VEC_TAUS:
-        for sup in VEC_SUPS:
-            cfg = RunConfig(
-                model="vector", d=2, n=32, m=2, tau=tau, steps=200,
-                ic="smooth", ic_params={"sup": sup}, seed=101,
-            )
-            traces[(tau, sup)] = run_experiment(cfg)
-    return traces
-
-
-def test_criterion_02_vector_maximum_principle(vector_sweep_traces):
-    worst = -np.inf
-    for (tau, sup), trace in vector_sweep_traces.items():
-        rows = trace.rows
-        assert rows[0].sup_norm == pytest.approx(sup, rel=1e-12)
-        for prev, cur in zip(rows, rows[1:]):
-            excess = cur.sup_norm - max(1.0, prev.sup_norm)
-            worst = max(worst, excess)
-            assert excess <= 1e-12, (tau, sup, cur.step)
-    _report(2, f"sup|u| recursion holds over 8 x 200 steps, worst excess {worst:.2e}")
-
-
-def test_criterion_03_vector_energy_dissipation(vector_sweep_traces):
-    for (tau, sup), trace in vector_sweep_traces.items():
-        bad = [r.step for r in trace.rows if not r.dissipation_ok]
-        assert not bad, f"tau={tau} sup0={sup}: modified energy rose at steps {bad}"
-    _report(3, "modified energy nonincreasing (rel 1e-10) on all 8 trajectories incl tau=10")
-
-
-# ---------------------------------------------------------------------------
-# 4. matrix Frobenius maximum principle
-
-
-def test_criterion_04_matrix_maximum_principle():
-    worst = -np.inf
-    for m in (2, 3):
-        bound = np.sqrt(m) + 1e-12
-        for tau in (0.01, 1.0, 10.0):
-            cfg = RunConfig(
-                model="matrix", d=2, n=32, m=m, tau=tau, steps=200,
-                ic="smooth", seed=102, threshold_policy="ignore",
-            )
-            trace = run_experiment(cfg)
-            sups = [r.sup_norm for r in trace.rows]
-            assert sups[0] <= bound
-            worst = max(worst, max(sups) - np.sqrt(m))
-            assert max(sups) <= bound, (m, tau)
-    # discontinuous orthogonal-valued data, resolved grid
-    cfg = RunConfig(
-        model="matrix", d=2, n=64, m=2, tau=0.01, steps=200, ic="polar_star",
-    )
-    trace = run_experiment(cfg)
-    excess = max(r.sup_norm for r in trace.rows) - np.sqrt(2)
-    worst = max(worst, excess)
-    assert excess <= 1e-12
-    _report(4, f"sup Frobenius norm <= sqrt(m) + 1e-12 on 7 runs, worst excess {worst:.2e}")
-
-
-# ---------------------------------------------------------------------------
-# 5. matrix modified-energy decay inside the sufficient step bound
-
-
-def test_criterion_05_matrix_energy_dissipation():
-    chk = threshold_check(0.01, 2)
-    assert chk.satisfied and chk.margin == pytest.approx(0.43 - 0.0408, abs=2e-4)
-    drops = {}
-    for variant in ("polar_star", "polar_stripe"):
-        cfg = RunConfig(
-            model="matrix", d=2, n=64, m=2, tau=0.01, steps=300, ic=variant,
-            threshold_policy="enforce",
-        )
-        trace = run_experiment(cfg)
-        bad = [r.step for r in trace.rows if not r.dissipation_ok]
-        assert not bad, f"{variant}: modified energy rose at steps {bad}"
-        energies = trace.column("energy_modified")
-        drops[variant] = energies[-1] - energies[0]
-        assert drops[variant] < 0
-    _report(5, "modified energy nonincreasing over 300 steps; total change "
-               + ", ".join(f"{k} {v:.3e}" for k, v in drops.items()))
-
-
-# ---------------------------------------------------------------------------
-# 6. closed-form nonlinear propagators against an RK4 oracle
-
-
-def test_criterion_06_propagators_match_rk4_oracle():
-    oracle = OracleConfig()  # 1e4 substeps per unit time
-    worst_vec = worst_mat = 0.0
-    cases_vec = cases_mat = 0
-    for t in (0.1, 0.5, 1.0, 2.0):
-        for m in (2, 3, 4):
-            rng = np.random.Generator(np.random.Philox([601, m, int(round(10 * t))]))
-            w = rng.standard_normal((84, m)) * rng.uniform(0.05, 1.5, (84, 1))
-            diff = nonlinear_propagate_vec(w, t) - integrate_vector_ode(w, t, oracle)
-            worst_vec = max(worst_vec, float(np.max(np.abs(diff))))
-            cases_vec += len(w)
-
-            a = rng.standard_normal((84, m, m)) * rng.uniform(
-                0.05, 1.2, (84, 1, 1)
-            ) / np.sqrt(m)
-            diff = nonlinear_propagate_mat(a, t) - integrate_matrix_ode(a, t, oracle)
-            worst_mat = max(worst_mat, float(np.max(np.abs(diff))))
-            cases_mat += len(a)
-    assert cases_vec >= 1000 and cases_mat >= 1000
-    assert worst_vec <= 1e-8 and worst_mat <= 1e-8
-    _report(6, f"{cases_vec} vector / {cases_mat} matrix cases, "
-               f"max deviations {worst_vec:.2e} / {worst_mat:.2e}")
-
-
-# ---------------------------------------------------------------------------
-# 7. pointwise norm identity and Frobenius bound on random draws
-
-
-def test_criterion_07_norm_identity_and_frobenius_bound():
-    rng = np.random.Generator(np.random.Philox(701))
-    worst_id = worst_fb = 0.0
-    for t in (0.01, 0.5, 1.0, 10.0):
-        w = rng.standard_normal((2500, 3)) * rng.uniform(0.0, 2.0, (2500, 1))
-        norms = np.linalg.norm(nonlinear_propagate_vec(w, t), axis=-1)
-        r = np.linalg.norm(w, axis=-1)
-        predicted = np.exp(t) * r / np.sqrt(1.0 + np.expm1(2.0 * t) * r**2)
-        worst_id = max(worst_id, float(np.max(np.abs(norms - predicted))))
-
-        m = 2 if t < 1.0 else 3
-        a = rng.standard_normal((2500, m, m)) * rng.uniform(0.0, 1.2, (2500, 1, 1))
-        before = np.sqrt(np.sum(a * a, axis=(-2, -1)))
-        after = np.sqrt(np.sum(nonlinear_propagate_mat(a, t) ** 2, axis=(-2, -1)))
-        excess = after - np.maximum(np.sqrt(m), before)
-        worst_fb = max(worst_fb, float(np.max(excess)))
-    assert worst_id <= 1e-12
-    assert worst_fb <= 1e-12
-    _report(7, f"10^4 draws each: norm identity dev {worst_id:.2e}, "
-               f"Frobenius bound excess {worst_fb:.2e}")
-
-
-# ---------------------------------------------------------------------------
-# 8. pointwise inequality suites behind the energy monotonicity
-
-
-def test_criterion_08_inequality_suites():
-    rng = np.random.Generator(np.random.Philox(801))
-    # concavity-type bound for the vector potential
-    for tau in (0.1, 1.0):
-        u = rng.standard_normal((5000, 3)) * rng.uniform(0.0, 1.5, (5000, 1))
-        v = rng.standard_normal((5000, 3)) * rng.uniform(0.0, 1.5, (5000, 1))
-        assert concavity_inequality_check_vec(u, v, tau)
-    # trace-potential Taylor bound on admissible draws
-    for m in (2, 3):
-        tau = 0.5 * 0.43 / (3.0 * m)
-        root_m = np.sqrt(m)
-        u0 = rng.standard_normal((5000, m, m))
-        u0 *= (root_m * rng.uniform(0.1, 0.95, (5000, 1, 1))
-               / np.sqrt(np.sum(u0 * u0, axis=(-2, -1), keepdims=True)))
-        h = rng.standard_normal((5000, m, m))
-        room = root_m - np.sqrt(np.sum(u0 * u0, axis=(-2, -1), keepdims=True))
-        h *= (room * rng.uniform(0.0, 0.9, (5000, 1, 1))
-              / np.sqrt(np.sum(h * h, axis=(-2, -1), keepdims=True)))
-        assert taylor_inequality_check(u0, h, tau)
-    # directional derivative of the trace potential vs central differences
-    worst = 0.0
-    for tau in (0.1, 1.0):
-        u0 = rng.standard_normal((200, 2, 2)) * 0.5
-        h = rng.standard_normal((200, 2, 2))
-        eps = 1e-6
-        fd = (g_potential_mat(u0 + eps * h, tau) - g_potential_mat(u0 - eps * h, tau)) / (
-            2.0 * eps
-        )
-        worst = max(worst, float(np.max(np.abs(fd - g_trace_derivative(u0, h, tau)))))
-    assert worst <= 1e-6
-    _report(8, f"2x10^4 inequality draws pass; h'(0) vs FD dev {worst:.2e}")
-
-
-# ---------------------------------------------------------------------------
-# 9. modified-vs-standard energy gap scales linearly in tau
-
-
-def test_criterion_09_energy_gap_linear_in_tau():
-    def max_gap(tau):
-        cfg = RunConfig(
-            model="vector", d=2, n=32, m=2, tau=tau,
-            steps=int(round(0.2 / tau)),
-            ic="smooth_deterministic", ic_params={"magnitude": 0.8},
-        )
-        trace = run_experiment(cfg)
-        return max(r.delta_e for r in trace.rows)
-
-    ratios = {}
-    for tau in (1e-2, 1e-3):
-        ratios[tau] = max_gap(tau / 2) / max_gap(tau)
-        assert 0.35 <= ratios[tau] <= 0.65, ratios
-    _report(9, "gap(tau/2)/gap(tau) = "
-               + ", ".join(f"{r:.4f} at tau={t}" for t, r in ratios.items()))
-
-
-# ---------------------------------------------------------------------------
-# 10. shrinking star defect in the 2D matrix model
-
-
-def _star_collapse_violation(counts):
-    """Return the rule of shrink-then-vanish that `counts` breaks, or None.
-
-    `counts` are det>0 node counts at increasing snapshot times.  The star's
-    rotation region must start non-empty, strictly shrink while it exists,
-    stay gone once gone, be gone at the last snapshot, and be seen partly
-    shrunk at some intermediate snapshot (not wiped out in one interval).
-    """
-    if counts[0] <= 0:
-        return "the det>0 region is empty at the first snapshot"
-    for i, (a, b) in enumerate(zip(counts, counts[1:])):
-        if a > 0 and not b < a:
-            return f"the count does not strictly decrease from snapshot {i} to {i + 1}"
-        if a == 0 and b != 0:
-            return f"the region re-forms at snapshot {i + 1} after vanishing"
-    if counts[-1] != 0:
-        return "the region never collapses (count nonzero at the last snapshot)"
-    if not any(0 < c < counts[0] for c in counts[1:-1]):
-        return "no intermediate snapshot sees the region partly shrunk"
-    return None
-
-
-@pytest.mark.parametrize(
-    "counts, rule",
-    [
-        ([4723, 4295, 2991, 0, 0, 0], None),
-        ([4723, 4723, 2991, 0, 0, 0], "does not strictly decrease"),
-        ([4723, 4295, 0, 12, 0, 0], "re-forms"),
-        ([4723, 4295, 2991, 911, 100, 50], "never collapses"),
-        ([0, 0, 0, 0, 0, 0], "empty at the first snapshot"),
-        ([4723, 0, 0, 0, 0, 0], "partly shrunk"),
+CRITERIA = {
+    "convergence_order": ["vector/second-order-rate"],
+    "vector_maximum_principle": ["vector/max-principle"],
+    "vector_energy_dissipation": ["vector/modified-energy-monotone"],
+    "matrix_maximum_principle": ["matrix/max-principle", "matrix/star-defect-collapses"],
+    "matrix_energy_dissipation": ["matrix/modified-energy-monotone"],
+    "propagators_match_rk4_oracle": ["vector/closed-form-vs-rk4", "matrix/closed-form-vs-rk4"],
+    "norm_identity_and_frobenius_bound": [
+        "vector/norm-identity", "matrix/frobenius-ball-invariance",
     ],
-    ids=["measured", "plateau", "re-nucleation", "no-collapse", "empty-start",
-         "instant-wipe-out"],
-)
-def test_criterion_10_predicate_on_synthetic_counts(counts, rule):
-    violation = _star_collapse_violation(counts)
-    if rule is None:
-        assert violation is None, violation
-    else:
-        assert violation is not None and rule in violation, violation
+    "inequality_suites": ["vector/concavity-inequality", "matrix/taylor-inequality"],
+    "energy_gap_linear_in_tau": [
+        "vector/energy-gap-linear-in-tau", "matrix/energy-gap-linear-in-tau",
+    ],
+}
 
 
-def test_criterion_10_star_defect_shrinks():
-    grid = TorusGrid(2, 128)
-    tau = 0.01
-    times = (0.0, 0.4, 0.8, 1.6, 2.4, 3.0)
-    u = polar_ic(grid, "star")
-    counts = [int(np.sum(det_sign_field(u) > 0))]
-    for t_prev, t_next in zip(times, times[1:]):
-        steps = int(round((t_next - t_prev) / tau))
-        u = strang_evolve_mat(grid, u, tau, steps)
-        counts.append(int(np.sum(det_sign_field(u) > 0)))
-    assert sup_frobenius(u) <= np.sqrt(2) + 1e-12
-    violation = _star_collapse_violation(counts)
-    assert violation is None, (
-        f"{violation}: det>0 node counts {counts} at times {list(times)}"
-    )
-    k = counts.index(0)
-    _report(10, f"det>0 node counts {counts} shrink strictly and the region "
-                f"vanishes between t={times[k - 1]} and t={times[k]}")
+def _assert_entries(check_result, criterion: str) -> None:
+    for name in CRITERIA[criterion]:
+        ok, detail = check_result(name)
+        assert ok, f"{name}: {detail}"
+
+
+def test_criterion_01_convergence_order(check_result):
+    _assert_entries(check_result, "convergence_order")
+
+
+def test_criterion_02_vector_maximum_principle(check_result):
+    _assert_entries(check_result, "vector_maximum_principle")
+
+
+def test_criterion_03_vector_energy_dissipation(check_result):
+    _assert_entries(check_result, "vector_energy_dissipation")
+
+
+def test_criterion_04_matrix_maximum_principle(check_result):
+    _assert_entries(check_result, "matrix_maximum_principle")
+
+
+def test_criterion_05_matrix_energy_dissipation(check_result):
+    _assert_entries(check_result, "matrix_energy_dissipation")
+
+
+def test_criterion_06_propagators_match_rk4_oracle(check_result):
+    _assert_entries(check_result, "propagators_match_rk4_oracle")
+
+
+def test_criterion_07_norm_identity_and_frobenius_bound(check_result):
+    _assert_entries(check_result, "norm_identity_and_frobenius_bound")
+
+
+def test_criterion_08_inequality_suites(check_result):
+    _assert_entries(check_result, "inequality_suites")
+
+
+def test_criterion_09_energy_gap_linear_in_tau(check_result):
+    _assert_entries(check_result, "energy_gap_linear_in_tau")
+
+
+def test_criteria_name_registry_entries():
+    for names in CRITERIA.values():
+        assert set(names) <= set(verify.CHECKS)
