@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
@@ -584,6 +585,9 @@ def _steps_for(t_final: float, tau: float) -> int:
         raise ConfigError(
             f"t_final = {t_final} is not an integer multiple of tau = {tau}"
         )
+    if rounded > sys.maxsize:
+        raise ConfigError(f"t_final = {t_final} takes {rounded} steps of tau = {tau}, "
+                          f"more than {sys.maxsize}")
     return int(rounded)
 
 

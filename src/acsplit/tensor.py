@@ -10,9 +10,11 @@ acting entry-wise and S_N the exact pointwise flow
 
 the push-through form of (c A A^T + I)^{-1/2} e^t A.  Where it can, the pointwise
 algebra is entrywise: for q = 1 the Gram matrix A^T A is the scalar |a|^2, and
-a 2 x 2 matrix has its singular values in closed form (_conformal_parts).  Other
-shapes go through the Gram eigenvectors V: A f(A^T A) = (A V) f(Lambda) V^T,
-with Lambda_i = sigma_i(A)^2.
+a 2 x 2 matrix has its singular values in closed form (_singular_values, from its
+conformal and anticonformal parts).  Other shapes go through the Gram
+eigenvectors V: A f(A^T A) = (A V) f(Lambda) V^T, with Lambda_i = sigma_i(A)^2.
+The 2 x 2 kernels and g_scalar are chains of in-place ufuncs on component-plane
+buffers, so a monitored step peaks at its transforms, not at their temporaries.
 """
 
 from __future__ import annotations
@@ -53,8 +55,13 @@ def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     lam = np.asarray(lam, dtype=np.float64)
-    root = np.sqrt(math.exp(-2.0 * tau) - math.expm1(-2.0 * tau) * lam)
-    return (lam / tau) * (0.5 - 1.0 / (max(math.exp(-tau), _TINY) + root))
+    if lam.ndim == 0:  # out= needs arrays, and ufuncs give scalars on 0-d operands
+        return g_scalar(lam[None], tau)[0]
+    w = np.multiply(lam, math.expm1(-2.0 * tau))  # one buffer, operation by operation
+    w = np.sqrt(np.subtract(math.exp(-2.0 * tau), w, out=w), out=w)
+    w += max(math.exp(-tau), _TINY)
+    w = np.subtract(0.5, np.divide(1.0, w, out=w), out=w)
+    return np.multiply(w, lam / tau, out=w)
 
 
 def _flow_factor(lam: np.ndarray, t: float) -> np.ndarray:
@@ -99,21 +106,29 @@ def _gram_function(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.
     return (av * fn(lam)) @ np.swapaxes(v, -1, -2)
 
 
-def _conformal_parts(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(e, h, f, g, Q, R, s1, s2) of 2 x 2 matrices A = conformal part [[e, -h], [h, e]]
-    + anticonformal part [[f, g], [g, -f]]: with Q = |(e, h)| and R = |(f, g)| the
-    singular values are s1 = Q + R and the signed s2 = det A / s1 (0 where s1 is).
-    Q = sqrt(e^2 + h^2) costs a quarter of hypot, and _checked's cap sqrt(max / 8)
-    on the entries keeps e^2 + h^2 below max / 4.  Below about 1e-154 the squares
-    underflow and Q and R lose relative accuracy, not absolute (about 1e-161),
-    which moves the flow by no more than that beside its factor e^t."""
+def _parts(a: np.ndarray, k: int, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """(e, h) for k = 0 or (f, g) for k = 1, into `out`, of 2 x 2 matrices A = conformal
+    part [[e, -h], [h, e]] + anticonformal part [[f, g], [g, -f]]."""
+    p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    x = (np.subtract if k else np.add)(p, d, out=out[0])
+    y = (np.add if k else np.subtract)(c, b, out=out[1])
+    return np.multiply(x, 0.5, out=x), np.multiply(y, 0.5, out=y)
+
+
+def _singular_values(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Q, R, s1, s2) of 2 x 2 matrices: with Q = |(e, h)| and R = |(f, g)| (_parts), each
+    made in place of its parts, the singular values are s1 = Q + R and the signed
+    s2 = det A / s1 (0 where s1 is).  Q = sqrt(e^2 + h^2) costs a quarter of hypot,
+    and _checked's cap sqrt(max / 8) on the entries keeps e^2 + h^2 below max / 4.
+    Below about 1e-154 the squares underflow and Q and R lose relative accuracy, not
+    absolute (about 1e-161), which moves the flow by no more than that beside its
+    factor e^t."""
     p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     det = p * d - b * c  # first, while its temporaries are the only ones
-    e, h, f, g = 0.5 * (p + d), 0.5 * (c - b), 0.5 * (p - d), 0.5 * (c + b)
-    q, r = np.sqrt(e * e + h * h), np.sqrt(f * f + g * g)
+    q, r = (np.sqrt(np.add(np.multiply(x, x, out=x), np.multiply(y, y, out=y), out=x), out=x)
+            for x, y in (_parts(a, k) for k in (0, 1)))
     s1 = q + r
-    s2 = np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0)
-    return e, h, f, g, q, r, s1, s2
+    return q, r, s1, np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0)
 
 
 def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
@@ -122,15 +137,24 @@ def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
     and (s1, s2): alpha = f1 + 2 R p and beta = f1 - 2 Q p, p = k f1^2 (s2 f2) f2 / (f1 + f2),
     f_i = _flow_factor(s_i^2, t), k = -expm1(-2t).  Nothing divides by Q or R, and no
     factor of p exceeds 1/tiny, so nothing overflows."""
-    e, h, f, g, q, r, s1, s2 = _conformal_parts(a)
+    if a.ndim == 2:  # out= needs arrays, and ufuncs give scalars on 0-d operands
+        return _flow_2x2(a[None], t)[0]
+    q, r, s1, s2 = _singular_values(a)
     f1, f2 = _flow_factor(s1 * s1, t), _flow_factor(s2 * s2, t)
-    p = -math.expm1(-2.0 * t) * f1 * f1 * (s2 * f2) * (f2 / (f1 + f2))
-    del s1, s2, f2  # each temporary is a quarter of the field: free them early
-    alpha, beta = f1 + 2.0 * r * p, f1 - 2.0 * q * p
-    del q, r, f1, p
-    out = np.empty_like(a)
-    out[..., 0, 0], out[..., 1, 1] = alpha * e + beta * f, alpha * e - beta * f
-    out[..., 1, 0], out[..., 0, 1] = beta * g + alpha * h, beta * g - alpha * h
+    p = np.multiply(f1, -math.expm1(-2.0 * t))
+    p *= f1
+    p *= np.multiply(s2, f2, out=s2)
+    p *= np.divide(f2, np.add(f1, f2, out=s2), out=s2)
+    alpha = np.add(f1, np.multiply(np.multiply(r, 2.0, out=r), p, out=r), out=r)
+    beta = np.subtract(f1, np.multiply(np.multiply(q, 2.0, out=q), p, out=q), out=q)
+    del s1, s2, f1, f2  # each temporary is a quarter of the field: reuse or free it
+    out = np.empty_like(a)  # the parts are made last, in the output's planes
+    e, h = _parts(a, 0, (out[..., 0, 0], out[..., 0, 1]))
+    f, g = _parts(a, 1, (out[..., 1, 1], out[..., 1, 0]))
+    for x, y, cx, cy in ((e, f, alpha, beta), (g, h, beta, alpha)):  # cx x +- cy y, in p
+        y *= cy
+        np.add(np.multiply(cx, x, out=p), y, out=x)
+        np.subtract(p, y, out=y)
     return out
 
 
@@ -236,7 +260,9 @@ def potential(a: np.ndarray, tau: float) -> np.ndarray:
     It is invariant under A -> Q A R for orthogonal Q, R."""
     a = _checked(a)
     if a.shape[-2:] == (2, 2):
-        return sum(g_scalar(s * s, tau) for s in _conformal_parts(a)[-2:])
+        if a.ndim == 2:
+            return potential(a[None], tau)[0]
+        return sum(g_scalar(np.multiply(s, s, out=s), tau) for s in _singular_values(a)[2:])
     if a.shape[-1] == 1:
         lam = _column_norms_sq(a)
     else:  # clipped at 0: round-off can make the smallest slightly negative

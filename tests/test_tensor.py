@@ -216,6 +216,22 @@ def test_2x2_kernel_at_the_ends_of_the_float_range(kind, t):
     assert _worst_excess(pot[:, None], pot_ref[:, None]) <= 0
 
 
+def test_unbatched_inputs_run_as_a_batch_of_one():
+    # the 2 x 2 kernels and g_scalar are in-place ufunc chains, and out= needs
+    # arrays where 0-d operands give scalars: one matrix, or one lam, runs as a
+    # batch of one and comes back with the type and bits it has in the batch
+    for a in ([[1.0, 2.0], [0.5, -1.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [0.5, 1.0]]):
+        a = np.array(a)
+        for fn in (tensor.nonlinear_propagate, tensor.potential):
+            one, batch = fn(a, 0.1), fn(a[None], 0.1)[0]
+            assert type(one) is type(batch) and one.tobytes() == batch.tobytes()
+    assert not np.signbit(tensor.potential(np.zeros((2, 2)), 0.1))  # 0.0, not G(0) + G(0) = -0.0
+    for lam in (0.0, 2.5, np.float64(2.5), np.array(2.5)):
+        g = tensor.g_scalar(lam, 1000.0)
+        assert isinstance(g, np.float64) and g.tobytes() == tensor.g_scalar([lam], 1000.0)[0].tobytes()
+    assert tensor.g_scalar(0.0, 1000.0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # the standard potential (1/4)||A^T A - I||_F^2 = (1/4) sum_i (sigma_i^2 - 1)^2
 
