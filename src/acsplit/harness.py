@@ -586,8 +586,7 @@ def _steps_for(t_final: float, tau: float) -> int:
             f"t_final = {t_final} is not an integer multiple of tau = {tau}"
         )
     if rounded > sys.maxsize:
-        raise ConfigError(f"t_final = {t_final} takes {rounded} steps of tau = {tau}, "
-                          f"more than {sys.maxsize}")
+        raise ConfigError(f"t_final = {t_final} takes {rounded} steps of tau = {tau}: too many")
     return int(rounded)
 
 

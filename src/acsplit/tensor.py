@@ -10,11 +10,9 @@ acting entry-wise and S_N the exact pointwise flow
 
 the push-through form of (c A A^T + I)^{-1/2} e^t A.  Where it can, the pointwise
 algebra is entrywise: for q = 1 the Gram matrix A^T A is the scalar |a|^2, and
-a 2 x 2 matrix has its singular values in closed form (_singular_values, from its
-conformal and anticonformal parts).  Other shapes go through the Gram
-eigenvectors V: A f(A^T A) = (A V) f(Lambda) V^T, with Lambda_i = sigma_i(A)^2.
-The 2 x 2 kernels and g_scalar are chains of in-place ufuncs on component-plane
-buffers, so a monitored step peaks at its transforms, not at their temporaries.
+a 2 x 2 matrix has its singular values in closed form (_singular_values).  Other
+shapes go through the Gram eigenvectors V: A f(A^T A) = (A V) f(Lambda) V^T,
+with Lambda_i = sigma_i(A)^2.
 """
 
 from __future__ import annotations
@@ -57,11 +55,10 @@ def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim == 0:  # out= needs arrays, and ufuncs give scalars on 0-d operands
         return g_scalar(lam[None], tau)[0]
-    w = np.multiply(lam, math.expm1(-2.0 * tau))  # one buffer, operation by operation
+    w = np.multiply(lam, math.expm1(-2.0 * tau))  # the factored form, in one buffer
     w = np.sqrt(np.subtract(math.exp(-2.0 * tau), w, out=w), out=w)
-    w += max(math.exp(-tau), _TINY)
-    w = np.subtract(0.5, np.divide(1.0, w, out=w), out=w)
-    return np.multiply(w, lam / tau, out=w)
+    w = np.divide(1.0, np.add(w, max(math.exp(-tau), _TINY), out=w), out=w)
+    return np.multiply(np.subtract(0.5, w, out=w), lam / tau, out=w)
 
 
 def _flow_factor(lam: np.ndarray, t: float) -> np.ndarray:
@@ -124,11 +121,14 @@ def _singular_values(a: np.ndarray) -> tuple[np.ndarray, ...]:
     absolute (about 1e-161), which moves the flow by no more than that beside its
     factor e^t."""
     p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    det = p * d - b * c  # first, while its temporaries are the only ones
     q, r = (np.sqrt(np.add(np.multiply(x, x, out=x), np.multiply(y, y, out=y), out=x), out=x)
             for x, y in (_parts(a, k) for k in (0, 1)))
+    det = p * d  # after Q and R, in place: four quarter planes live at most
+    det -= b * c
     s1 = q + r
-    return q, r, s1, np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0)
+    np.divide(det, s1, out=det, where=s1 > 0)
+    det[s1 == 0] = 0.0
+    return q, r, s1, det
 
 
 def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
@@ -137,8 +137,6 @@ def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
     and (s1, s2): alpha = f1 + 2 R p and beta = f1 - 2 Q p, p = k f1^2 (s2 f2) f2 / (f1 + f2),
     f_i = _flow_factor(s_i^2, t), k = -expm1(-2t).  Nothing divides by Q or R, and no
     factor of p exceeds 1/tiny, so nothing overflows."""
-    if a.ndim == 2:  # out= needs arrays, and ufuncs give scalars on 0-d operands
-        return _flow_2x2(a[None], t)[0]
     q, r, s1, s2 = _singular_values(a)
     f1, f2 = _flow_factor(s1 * s1, t), _flow_factor(s2 * s2, t)
     p = np.multiply(f1, -math.expm1(-2.0 * t))
@@ -166,8 +164,8 @@ def nonlinear_propagate(a: np.ndarray, t: float) -> np.ndarray:
     a = _checked(a)
     if t == 0:
         return a.copy()  # skip the eigendecomposition's last-ulp noise
-    if a.shape[-2:] == (2, 2):
-        return _flow_2x2(a, t)
+    if a.shape[-2:] == (2, 2):  # one matrix as a batch of one, as in g_scalar
+        return _flow_2x2(a[None], t)[0] if a.ndim == 2 else _flow_2x2(a, t)
     return _gram_function(a, lambda lam: _flow_factor(lam, t))
 
 
@@ -262,7 +260,10 @@ def potential(a: np.ndarray, tau: float) -> np.ndarray:
     if a.shape[-2:] == (2, 2):
         if a.ndim == 2:
             return potential(a[None], tau)[0]
-        return sum(g_scalar(np.multiply(s, s, out=s), tau) for s in _singular_values(a)[2:])
+        s1, s2 = _singular_values(a)[2:]
+        pot = 0 + g_scalar(np.multiply(s1, s1, out=s1), tau)  # 0 +: a zero matrix's is 0.0, not -0.0
+        del s1
+        return np.add(pot, g_scalar(np.multiply(s2, s2, out=s2), tau), out=pot)
     if a.shape[-1] == 1:
         lam = _column_norms_sq(a)
     else:  # clipped at 0: round-off can make the smallest slightly negative
