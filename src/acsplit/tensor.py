@@ -261,7 +261,7 @@ def potential(a: np.ndarray, tau: float) -> np.ndarray:
         if a.ndim == 2:
             return potential(a[None], tau)[0]
         s1, s2 = _singular_values(a)[2:]
-        pot = 0 + g_scalar(np.multiply(s1, s1, out=s1), tau)  # 0 +: a zero matrix's is 0.0, not -0.0
+        pot = 0 + g_scalar(np.multiply(s1, s1, out=s1), tau)  # 0 + G(0) is 0.0, G(0) is -0.0
         del s1
         return np.add(pot, g_scalar(np.multiply(s2, s2, out=s2), tau), out=pot)
     if a.shape[-1] == 1:

@@ -619,8 +619,9 @@ def test_monitored_run_peak_memory():
 def test_monitored_2x2_run_peak_memory():
     # the 2 x 2 flow and potential reuse their quarter-field buffers, so the
     # modified potential on u~_n, taken while the record holds field, spectrum
-    # and u~_n, stays below the inverse transform's peak: 4.96 field sizes,
-    # against 5.75 when the potential held all of Q, R, s1, s2 and the parts
+    # and u~_n, adds about one field size and comes level with the inverse
+    # transform's peak: 4.96 field sizes, against 5.75 when the potential
+    # held all of Q, R, s1, s2 and the parts
     cfg = RunConfig(model="matrix", d=2, n=64, m=2, tau=0.01, steps=4, ic="polar_star",
                     threshold_policy="enforce")
     peak = _monitored_run_peak(cfg)
