@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the property-check suite")
     p_ver.add_argument(
-        "scope", nargs="?", default="all", choices=("vector", "matrix", "all")
+        "scope", nargs="?", default="all", choices=(*harness.MODELS, "all")
     )
     p_ver.set_defaults(handler=_cmd_verify)
 

@@ -34,6 +34,7 @@ import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, ClassVar, NamedTuple, get_type_hints
 
 import numpy as np
@@ -63,9 +64,6 @@ __all__ = [
 
 # relative tolerance for the per-step dissipation flag
 DISSIPATION_REL_TOL = 1e-10
-
-# number of component axes after the d spatial axes of each model's fields
-COMPONENT_AXES = {"vector": 1, "matrix": 2}
 
 
 class ConfigError(ValueError):
@@ -110,7 +108,7 @@ _CONVERGE_KEYS: dict[str, Callable[[str], object]] = {
 @dataclass
 class RunConfig:
     """One trajectory run, and the schema of a config file: each field but
-    ic_params is a key.  ic is a registry name (see VECTOR_ICS/MATRIX_ICS) or
+    ic_params is a key.  ic is a name in its model's registry (see MODELS) or
     'snapshot:<path>'; ic_params are its keyword parameters."""
 
     model: str
@@ -127,8 +125,8 @@ class RunConfig:
     threshold_policy: str = "warn"
 
     def __post_init__(self):
-        if self.model not in COMPONENT_AXES:
-            raise ConfigError(f"model must be 'vector' or 'matrix', got {self.model!r}")
+        if self.model not in MODELS:
+            raise ConfigError(f"model must be {' or '.join(map(repr, MODELS))}, got {self.model!r}")
         if why := geometry_error(self.d, self.n, self.m):
             raise ConfigError(why)
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -148,15 +146,13 @@ class RunConfig:
             raise ConfigError(
                 f"threshold_policy must be enforce/warn/ignore, got {self.threshold_policy!r}"
             )
-        if not self.ic:
-            self.ic = "smooth" if self.model == "vector" else "polar_star"
-        if not self.ic.startswith("snapshot:"):
-            registry = VECTOR_ICS if self.model == "vector" else MATRIX_ICS
-            if self.ic not in registry:
-                raise ConfigError(
-                    f"unknown initial condition {self.ic!r} for {self.model} model; "
-                    f"known: {', '.join(sorted(registry))}"
-                )
+        model = MODELS[self.model]
+        self.ic = self.ic or model.default_ic
+        if not self.ic.startswith("snapshot:") and self.ic not in model.ics:
+            raise ConfigError(
+                f"unknown initial condition {self.ic!r} for {self.model} model; "
+                f"known: {', '.join(sorted(model.ics))}"
+            )
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -247,7 +243,7 @@ def _shared_ics(axes: int, default_sup: Callable[[int], float]) -> dict[str, Cal
 
 
 VECTOR_ICS: dict[str, Callable] = {
-    **_shared_ics(COMPONENT_AXES["vector"], lambda m: 0.8),
+    **_shared_ics(1, lambda m: 0.8),
     "random_direction": lambda grid, m, seed, magnitude=0.8: vec.random_direction_ic(
         grid, m, magnitude, seed
     ),
@@ -257,7 +253,7 @@ VECTOR_ICS: dict[str, Callable] = {
 }
 
 MATRIX_ICS: dict[str, Callable] = {
-    **_shared_ics(COMPONENT_AXES["matrix"], math.sqrt),
+    **_shared_ics(2, math.sqrt),
     "identity": lambda grid, m, seed: np.broadcast_to(
         np.eye(m), grid.shape + (m, m)
     ).copy(),
@@ -275,6 +271,32 @@ def _polar_ic(grid: TorusGrid, m: int, variant: str) -> np.ndarray:
     return mat.polar_ic(grid, variant)
 
 
+class Model(NamedTuple):
+    """One model's facts.  `lookup` finds its functions by name when a run or check starts."""
+
+    axes: int  # component axes after the d spatial axes: m x q values, q = m^(axes - 1)
+    module: ModuleType
+    ics: dict[str, Callable]
+    default_ic: str
+    step_bound: bool  # whether threshold_check's 0.43 bound judges tau
+    sup_label: str
+    functions: dict[str, str]  # role -> name in module: a test's mutant set there runs
+
+    def lookup(self, *roles: str) -> list[Callable]:
+        return [getattr(self.module, self.functions[role]) for role in roles]
+
+
+MODELS = {
+    "vector": Model(1, vec, VECTOR_ICS, "smooth", False, "sup", dict(
+        flow="nonlinear_propagate_vec", evolve="strang_evolve_vec", sup="sup_magnitude",
+        energy_standard="standard_energy_vec", energy_modified="modified_energy_vec")),
+    "matrix": Model(2, mat, MATRIX_ICS, "polar_star", True, "Frobenius sup", dict(
+        flow="nonlinear_propagate_mat", evolve="strang_evolve_mat", sup="sup_frobenius",
+        energy_standard="standard_energy_mat", energy_modified="modified_energy_mat")),
+}
+COMPONENT_AXES = {name: model.axes for name, model in MODELS.items()}
+
+
 def build_initial(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
     """Materialize cfg.ic on the grid (registry entry or snapshot file)."""
     if cfg.ic.startswith("snapshot:"):
@@ -284,9 +306,8 @@ def build_initial(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
             raise ConfigError("snapshot geometry does not match config: snapshot has "
                               + " ".join(f"{k}={meta[k]}" for k in shared))
         return values
-    registry = VECTOR_ICS if cfg.model == "vector" else MATRIX_ICS
     try:
-        return registry[cfg.ic](grid, cfg.m, cfg.seed, **cfg.ic_params)
+        return MODELS[cfg.model].ics[cfg.ic](grid, cfg.m, cfg.seed, **cfg.ic_params)
     except TypeError as e:
         raise ConfigError(f"bad parameters for ic {cfg.ic!r}: {e}") from e
 
@@ -360,10 +381,10 @@ def write_snapshot(
 ) -> None:
     """Write a field snapshot: ASCII header, then little-endian float64 with
     component/entry axes slowest-varying."""
-    if model not in COMPONENT_AXES:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     values = np.asarray(values, dtype=np.float64)
-    expected = grid.shape + (m,) * COMPONENT_AXES[model]
+    expected = grid.shape + (m,) * MODELS[model].axes
     if values.shape != expected:
         raise ValueError(f"field shape {values.shape} is not the {model} field shape {expected}")
     disk = np.moveaxis(values, range(grid.d, values.ndim), range(values.ndim - grid.d))
@@ -410,7 +431,7 @@ def _read_snapshot_header(fh) -> dict:
         raise SnapshotFormatError(f"unsupported snapshot encoding: {', '.join(bad)}")
     if why := geometry_error(meta["d"], meta["n"], meta["m"]):
         raise SnapshotFormatError(f"bad snapshot geometry: {why}")
-    if meta.get("model") not in COMPONENT_AXES:
+    if meta.get("model") not in MODELS:
         raise SnapshotFormatError(f"unknown model {meta.get('model')!r}")
     return meta
 
@@ -420,7 +441,7 @@ def read_snapshot(path: str | os.PathLike) -> tuple[dict, np.ndarray]:
     with open(path, "rb") as fh:
         meta = _read_snapshot_header(fh)
         d, n, m = meta["d"], meta["n"], meta["m"]
-        k = COMPONENT_AXES[meta["model"]]
+        k = MODELS[meta["model"]].axes
         disk_shape = (m,) * k + (n,) * d
         size = 8 * math.prod(disk_shape)
         # the header's size against the file's, before anything is allocated
@@ -484,9 +505,9 @@ def _finite_values(step: int, field: np.ndarray, grid: TorusGrid,
 
 
 def _judge_step_size(cfg: RunConfig, tau: float) -> None:
-    """cfg's threshold policy on a matrix step tau beyond the bound: 'enforce'
-    refuses it, 'warn' warns and proceeds, 'ignore' proceeds."""
-    if cfg.model != "matrix" or cfg.threshold_policy == "ignore":
+    """cfg's threshold policy on a step tau beyond the bound, for a model that
+    has one: 'enforce' refuses it, 'warn' warns and proceeds, 'ignore' proceeds."""
+    if not MODELS[cfg.model].step_bound or cfg.threshold_policy == "ignore":
         return
     if (check := mat.threshold_check(tau, cfg.m)).satisfied:
         return
@@ -509,17 +530,12 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
     _judge_step_size(cfg, cfg.tau)
     grid = TorusGrid(cfg.d, cfg.n)
     u = build_initial(cfg, grid) if initial is None else np.asarray(initial, dtype=np.float64)
-    expected = grid.shape + (cfg.m,) * COMPONENT_AXES[cfg.model]
+    expected = grid.shape + (cfg.m,) * MODELS[cfg.model].axes
     if u.shape != expected:
         raise ConfigError(f"initial field shape {u.shape} != expected {expected}")
 
-    # the model's flow and monitors, looked up by module name at each run
-    if cfg.model == "vector":
-        flow, sup_fn, e_std_fn, e_mod_fn = (vec.nonlinear_propagate_vec, vec.sup_magnitude,
-                                            vec.standard_energy_vec, vec.modified_energy_vec)
-    else:
-        flow, sup_fn, e_std_fn, e_mod_fn = (mat.nonlinear_propagate_mat, mat.sup_frobenius,
-                                            mat.standard_energy_mat, mat.modified_energy_mat)
+    flow, sup_fn, e_std_fn, e_mod_fn = MODELS[cfg.model].lookup(
+        "flow", "sup", "energy_standard", "energy_modified")
     # one pipeline with strang_evolve_*; the monitors read each step's record
     states = tensor._strang_states(grid, u, cfg.tau, flow)
     del u
@@ -619,7 +635,7 @@ def convergence_study(
     # admitted as `run` admits a field, by the monitors of its step 0
     run_experiment(replace(cfg, tau=taus[-1], steps=0, out_dir=None, snapshot_every=0,
                            threshold_policy="ignore"), u0)
-    evolve = vec.strang_evolve_vec if cfg.model == "vector" else mat.strang_evolve_mat
+    (evolve,) = MODELS[cfg.model].lookup("evolve")
 
     ref = evolve(grid, u0, ref_tau, _steps_for(t_final, ref_tau))
     w = grid.cell_volume

@@ -22,8 +22,8 @@ from . import matrix as mat
 from . import tensor
 from . import vector as vec
 from .grid import TorusGrid
-from .harness import (DISSIPATION_REL_TOL, ConfigError, EnergyTrace, RunConfig, convergence_study,
-                      read_snapshot, run_experiment)
+from .harness import (DISSIPATION_REL_TOL, MODELS, ConfigError, EnergyTrace, RunConfig,
+                      convergence_study, read_snapshot, run_experiment)
 from .oracle import integrate_matrix_ode
 
 __all__ = ["CHECKS", "CheckResult", "VerifyReport", "verify_suite"]
@@ -184,15 +184,14 @@ def _max_principle(model: str, cases, taus, steps: int, seed: int):
     the whole run above max(sqrt(q), its initial value)."""
     worst = whole = -np.inf
     for m, sup0 in cases:
-        floor = math.sqrt(1 if model == "vector" else m)
+        floor = math.sqrt(m ** (MODELS[model].axes - 1))
         for tau in taus:
             trace = _trajectory(model, m, tau, steps, "smooth", seed, sup=sup0, kcut=4)
             sup = trace.column("sup_norm")
             worst = max(worst, _worst_sup_excess(trace, floor))
             whole = max(whole, float(np.max(sup) - max(floor, sup[0])))
-    label = "sup excess" if model == "vector" else "Frobenius sup excess"
     return worst <= 1e-12 and whole <= 1e-12, (
-        f"worst {label} {worst:+.2e}; whole-run excess {whole:+.2e}")
+        f"worst {MODELS[model].sup_label} excess {worst:+.2e}; whole-run excess {whole:+.2e}")
 
 
 def _semigroup(flow, shape, scale: float, seed: int, count: int, times):
@@ -252,7 +251,7 @@ def _energy_monotone(model: str, candidates, steps: int):
     traces = [
         _trajectory(model, 2, tau, steps, ic, seed, **params)
         for tau, ic, seed, params in candidates
-        if model == "vector" or mat.threshold_check(tau, 2).satisfied
+        if not MODELS[model].step_bound or mat.threshold_check(tau, 2).satisfied
     ]
     rises = [_relative_rises(trace) for trace in traces]
     worst = max((float(r.max()) for r in rises), default=-np.inf)
@@ -524,7 +523,7 @@ CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
 }
 
 # the name prefixes each scope runs
-_SCOPES = {"vector": ("core/", "vector/"), "matrix": ("core/", "matrix/"), "all": ("",)}
+_SCOPES = {**{model: ("core/", f"{model}/") for model in MODELS}, "all": ("",)}
 
 
 def verify_suite(scope: str = "all") -> VerifyReport:
@@ -535,7 +534,7 @@ def verify_suite(scope: str = "all") -> VerifyReport:
     including the harness/ IO checks.  A check that raises is a failed check.
     """
     if scope not in _SCOPES:
-        raise ConfigError(f"scope must be vector/matrix/all, got {scope!r}")
+        raise ConfigError(f"scope must be {'/'.join(_SCOPES)}, got {scope!r}")
     results = []
     for name, check in CHECKS.items():
         if not name.startswith(_SCOPES[scope]):

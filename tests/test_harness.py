@@ -121,7 +121,7 @@ def test_config_text_gives_field_or_config_error():
     @st.composite
     def config_texts(draw):
         model = draw(st.sampled_from(["vector", "matrix"]))
-        registry = harness.VECTOR_ICS if model == "vector" else harness.MATRIX_ICS
+        registry = harness.MODELS[model].ics
         ic = draw(st.sampled_from(sorted(registry) + ["bogus"]))
         params = draw(st.lists(item, max_size=3))
         ic += ":" + ",".join(params) if params else ""
@@ -402,7 +402,7 @@ def test_snapshot_header_geometry_property(tmp_path):
         extra=st.integers(-3, 3),
     )
     def check(model, d, n, m, extra):
-        axes = 1 if model == "vector" else 2
+        axes = harness.MODELS[model].axes
         count = max(m, 0) ** axes * max(n, 0) ** max(d, 0)
         header = (
             f"ACSPLIT-SNAPSHOT v1\nmodel={model}\nd={d}\nn={n}\nm={m}\ntau=0.1\n"
@@ -512,11 +512,32 @@ PIPELINE_CASES = {
 
 def _monitors_and_evolve(cfg):
     """The model's sup norm, standard and modified energy, and bare evolve."""
-    if cfg.model == "vector":
-        v = acsplit.vector
-        return v.sup_magnitude, v.standard_energy_vec, v.modified_energy_vec, v.strang_evolve_vec
-    m = acsplit.matrix
-    return m.sup_frobenius, m.standard_energy_mat, m.modified_energy_mat, m.strang_evolve_mat
+    return harness.MODELS[cfg.model].lookup("sup", "energy_standard", "energy_modified", "evolve")
+
+
+@pytest.mark.parametrize("model,name", [
+    ("vector", "nonlinear_propagate_vec"), ("vector", "strang_evolve_vec"),
+    ("vector", "sup_magnitude"), ("vector", "standard_energy_vec"), ("vector", "modified_energy_vec"),
+    ("matrix", "nonlinear_propagate_mat"), ("matrix", "strang_evolve_mat"),
+    ("matrix", "sup_frobenius"), ("matrix", "standard_energy_mat"), ("matrix", "modified_energy_mat"),
+])
+def test_model_functions_are_looked_up_at_run_time(monkeypatch, model, name):
+    # a function replaced on its public name is the one a run (or, for the
+    # bare evolve, a convergence study) calls: the mutant tests rely on it
+    module = getattr(acsplit, model)
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    cfg = RunConfig(model, d=1, n=8, m=2, tau=0.01, steps=2, ic="smooth")
+    if name.startswith("strang_evolve"):
+        convergence_study(cfg, [0.01, 0.005], 0.01)
+    else:
+        run_experiment(cfg)
+    assert calls
 
 
 @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
