@@ -1,7 +1,7 @@
 """Observed order of accuracy of the split scheme.
 
-Runs both models down a tau ladder against a much finer reference and
-prints the error table; the rates settle near 2.
+Runs both models down a tau ladder against a fourth-order Richardson
+reference and prints the error table; the rates settle near 2.
 """
 
 from acsplit.harness import RunConfig, convergence_study

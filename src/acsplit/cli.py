@@ -2,7 +2,7 @@
 
 Subcommands:
     run <config>        step a model per the config file, write trace/snapshots
-    converge <config>   step-size ladder study against a fine-step reference
+    converge <config>   step-size ladder study against a Richardson reference
     verify [scope]      fixed-seed property checks (vector / matrix / all)
     info <snapshot>     print a snapshot's header and field statistics
 

@@ -23,7 +23,7 @@ class OracleConfig:
     horizon t is ceil(substeps_per_unit_time * t), at least 1.
     """
 
-    substeps_per_unit_time: int = 10_000
+    substeps_per_unit_time: int = 2000
 
     def __post_init__(self):
         if self.substeps_per_unit_time < 1:

@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -711,19 +715,55 @@ def test_convergence_constant_unit_ic_zero_error():
     assert max(rep.errors) <= 1e-13
 
 
-def test_convergence_second_order_rates():
+def test_convergence_second_order_rates(monkeypatch):
+    real = acsplit.vector.strang_evolve_vec
+    runs = {}
+
+    def recording(grid, u, tau, steps):
+        out = real(grid, u, tau, steps)
+        runs[tau] = out.copy()  # the study combines its reference runs in place
+        return out
+
+    monkeypatch.setattr(acsplit.vector, "strang_evolve_vec", recording)
     cfg = RunConfig(
         model="vector", d=1, n=16, m=2, tau=0.01, steps=1,
         ic="smooth_deterministic", ic_params={"magnitude": 2.0}, seed=0,
     )
-    rep = convergence_study(cfg, [1 / 40, 1 / 80, 1 / 160], 0.1)
-    assert rep.reference_tau == pytest.approx((1 / 160) / 64)
+    finest = 1 / 160
+    rep = convergence_study(cfg, [1 / 40, 1 / 80, finest], 0.1)
+    assert rep.reference_tau == pytest.approx(finest / 8)
     for rate in rep.rates:
         assert 1.75 <= rate <= 2.25
     # halving tau divides the error by about 4
     assert 3.3 <= rep.errors[0] / rep.errors[1] <= 4.7
     text = rep.format()
     assert "tau" in text and "rate" in text
+
+    # the Richardson reference, rebuilt from the study's two reference runs,
+    # agrees with the same scheme at (finest tau)/64 far below the finest
+    # rung's error, so its own error does not show in the rates
+    assert sorted(runs) == sorted([finest / 8, finest / 4, finest, 1 / 80, 1 / 40])
+    ref = (4.0 * runs[finest / 8] - runs[finest / 4]) / 3.0
+    grid = TorusGrid(cfg.d, cfg.n)
+
+    def norm(diff):
+        return np.sqrt(grid.cell_volume * np.sum(diff**2))
+
+    assert rep.errors[-1] == pytest.approx(norm(runs[finest] - ref), rel=1e-12)
+    fine = real(grid, build_initial(cfg, grid), finest / 64, 1024)
+    assert norm(fine - ref) <= 1e-3 * rep.errors[-1]
+
+
+def test_convergence_refuses_a_bad_ladder_before_any_run(monkeypatch):
+    # the coarsest rung does not divide t_final: refused before the reference runs
+    calls = []
+    real = acsplit.vector.strang_evolve_vec
+    monkeypatch.setattr(acsplit.vector, "strang_evolve_vec",
+                        lambda *args: calls.append(None) or real(*args))
+    cfg = RunConfig(model="vector", d=1, n=8, m=2, tau=0.1, steps=1, ic="smooth")
+    with pytest.raises(ConfigError, match="t_final = 0.05 is not an integer multiple of tau = 0.04"):
+        convergence_study(cfg, [0.04, 0.02, 0.01], 0.05)
+    assert calls == []
 
 
 def test_convergence_ladder_validation():
@@ -1129,6 +1169,22 @@ def test_cli_converge_ok(tmp_path, capsys):
     assert "rate" in out and "reference" in out
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m acsplit` is the `acsplit` command, with no install needed
+    cfg = _write_cfg(
+        tmp_path,
+        "model=vector\nd=1\nn=16\nm=2\nic=smooth_deterministic:magnitude=2\nseed=0\n"
+        "tau_ladder=1/40,1/80,1/160\nt_final=0.1\n",
+    )
+    src = str(Path(acsplit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "acsplit", "converge", cfg], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("# reference solution:")
+    assert "tau_ref = (finest tau)/8 = 0.00078125" in done.stdout and done.stderr == ""
+
+
 _LADDER_BEYOND_BOUND = "d=1\nn=8\nm=2\nic=zero\ntau_ladder=1,1/2\nt_final=1\n"
 
 
@@ -1255,9 +1311,9 @@ _REFUSALS = [
     ("converge-enforce-beyond-bound", "converge {path}",
      "model=matrix\nthreshold_policy=enforce\n" + _LADDER_BEYOND_BOUND, 1,
      "error: threshold_policy=enforce requires m e^tau (e^{2tau}-1) <= 0.43; margin = -"),
-    # 1.28e20 reference steps: more than an index can count, refused before the run
+    # 1.6e19 reference steps: more than an index can count, refused before the run
     ("converge-too-many-steps", "converge {path}", _LADDER_KEYS_BASE + "tau_ladder=0.1, 0.05\nt_final=1e17\n",
-     1, "error: t_final = 1e+17 takes 128000000000000000000 steps of tau = 0.00078125"),
+     1, "error: t_final = 1e+17 takes 16000000000000000000 steps of tau = 0.00625"),
     # finite entries whose pointwise squared norm overflows, and a finite sup
     # norm whose standard energy (the squared Gram matrix) overflows: a config
     # error that names the limit, not an overflow warning and an invariant failure
