@@ -132,7 +132,8 @@ class TorusGrid:
     def heat_multiplier(self, t: float, field_ndim: int) -> np.ndarray:
         """The heat symbol e^{-t|k|^2} on the half lattice, for half spectra of
         fields with `field_ndim` axes."""
-        return self._broadcast(np.exp(-t * self._k2r), field_ndim)
+        with np.errstate(over="ignore"):  # -t|k|^2 is -inf at a huge t, and the symbol 0
+            return self._broadcast(np.exp(-t * self._k2r), field_ndim)
 
     def band_mask(self, kcut: float, field_ndim: int) -> np.ndarray:
         """True where |k|^2 <= kcut^2 on the half lattice, shaped as heat_multiplier."""
@@ -191,6 +192,14 @@ def half_inverse(
     for ax in grid.spatial_axes[:-1]:
         work = np.fft.ifft(work, axis=ax, out=None if work is spectrum else work)
     return np.fft.irfft(work, n=grid.n, axis=grid.d - 1)
+
+
+def _half_inverse_in_place(grid: TorusGrid, spectrum: np.ndarray, multiplier) -> np.ndarray:
+    """half_inverse(grid, spectrum, multiplier), made on `spectrum`'s buffer, overwriting it."""
+    spectrum *= multiplier
+    for ax in grid.spatial_axes[:-1]:
+        spectrum = np.fft.ifft(spectrum, axis=ax, out=spectrum)
+    return np.fft.irfft(spectrum, n=grid.n, axis=grid.d - 1)
 
 
 def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:

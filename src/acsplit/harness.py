@@ -129,10 +129,13 @@ class RunConfig:
             raise ConfigError(f"model must be {' or '.join(map(repr, MODELS))}, got {self.model!r}")
         if why := geometry_error(self.d, self.n, self.m):
             raise ConfigError(why)
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        # a NaN tau fails too; the energies divide by tau
+        if not (0 < self.tau < math.inf and 1.0 / self.tau < math.inf):
+            raise ConfigError(f"tau must be finite and > 0 with a finite 1/tau, got {self.tau}")
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        if self.steps > sys.float_info.max or not math.isfinite(self.steps * self.tau):
+            raise ConfigError(f"steps * tau must be finite, got {self.steps} * {self.tau}")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
         if self.snapshot_every and not self.out_dir:
@@ -629,8 +632,9 @@ def convergence_study(
     if len(tau_ladder) < 2:
         raise ConfigError("tau_ladder needs at least two entries")
     taus = [float(t) for t in tau_ladder]
-    if not all(0 < t < math.inf for t in taus):  # a NaN entry fails too
-        raise ConfigError(f"tau_ladder entries must be finite and > 0, got {taus}")
+    if not all(0 < t < math.inf and 1.0 / t < math.inf for t in taus):  # a NaN entry fails too
+        raise ConfigError("tau_ladder entries must be finite and > 0 with a finite 1/tau, "
+                          f"got {taus}")
     for a, b in zip(taus, taus[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ConfigError(

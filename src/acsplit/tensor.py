@@ -182,10 +182,13 @@ class StepRecord:
     """A state u_n of a splitting run with step tau, as the run holds it: the
     field, its half spectrum (grid.half_spectrum) and u~_n = S_L(tau/2) u_n,
     where the modified energy lives.  Each is made from what is known on
-    first use and then kept.  The spectrum has its component axes slowest in
-    memory (grid's Memory order), and so have u~_n and a field made from it; a
-    given field keeps its own order.  The energy functions take a record or a
-    field; a field is first turned into a record."""
+    first use and then kept, except that u~_n made once the field is known
+    is made on the spectrum's buffer and consumes it: a later read makes the
+    spectrum again from the field.  A given field is never written.  The
+    spectrum has its component axes slowest in memory (grid's Memory order),
+    and so have u~_n and a field made from it; a given field keeps its own
+    order.  The energy functions take a record or a field; a field is first
+    turned into a record."""
 
     def __init__(self, grid: TorusGrid, tau: float | None, **known):
         self.grid, self.tau = grid, tau
@@ -205,7 +208,15 @@ class StepRecord:
 
     @cached_property
     def u_tilde(self) -> np.ndarray:
-        return spectral.half_inverse(self.grid, self.spectrum, self.half_heat)
+        if "field" not in vars(self):
+            return spectral.half_inverse(self.grid, self.spectrum, self.half_heat)
+        return self._consume_spectrum()
+
+    def _consume_spectrum(self) -> np.ndarray:
+        """u~_n made on the spectrum's buffer, which the record then drops."""
+        half, spectrum = self.half_heat, self.spectrum
+        del self.spectrum
+        return spectral._half_inverse_in_place(self.grid, spectrum, half)
 
 
 def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
@@ -228,12 +239,13 @@ def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
     half = state.half_heat
     while True:
         yield state
-        w = state.u_tilde
+        w = state.u_tilde if "u_tilde" in vars(state) else state._consume_spectrum()
         state = None
         w = flow(w, tau)  # drops u~_n
         w = spectral.half_spectrum(grid, w)  # drops S_N(tau) u~_n
         w *= half
         state = StepRecord(grid, tau, spectrum=w, half_heat=half)
+        del w  # the spectrum is the record's alone: consuming it frees it
 
 
 def strang_evolve(
@@ -334,8 +346,11 @@ def standard_energy(grid: TorusGrid, a) -> float:
 
 def sup_norm(a: np.ndarray) -> float:
     """Max over nodes of the pointwise Frobenius norm ||A(x)||_F."""
-    a = np.asarray(a)
-    return float(np.sqrt(np.max(np.sum(a * a, axis=(-2, -1)))))
+    a = np.asarray(a)  # squares added plane by plane, as np.sum adds a pipeline field's
+    total, square = np.zeros(a.shape[:-2]), np.empty(a.shape[:-2])
+    for i, j in itertools.product(*map(range, a.shape[-2:])):
+        total += np.multiply(a[..., i, j], a[..., i, j], out=square)
+    return float(np.sqrt(np.max(total)))
 
 
 def smooth_random_ic(

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import tracemalloc
 import warnings
 
 import pytest
@@ -25,3 +26,27 @@ def check_result():
         return results[name]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def peak_field_sizes():
+    """`peak(fn, nbytes)`: the peak bytes tracemalloc sees while `fn()` runs, in
+    units of `nbytes` (a field's size), after one untraced call has warmed
+    numpy's FFT caches.
+
+    The figures the tests hold it to assume numpy 2.4's allocation pattern
+    (pocketfft, ufunc and einsum temporaries): another release that keeps one
+    more small buffer alive can exceed them with the code unchanged, and then
+    they are measured anew.
+    """
+
+    def peak(fn, nbytes):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / nbytes
+        finally:
+            tracemalloc.stop()
+
+    return peak

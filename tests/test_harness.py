@@ -426,23 +426,17 @@ def test_snapshot_header_geometry_property(tmp_path):
     check()
 
 
-def test_read_snapshot_returns_the_disk_array_components_slowest(tmp_path):
-    import tracemalloc
-
+def test_read_snapshot_returns_the_disk_array_components_slowest(tmp_path, peak_field_sizes):
     grid = TorusGrid(3, 32)
     u = np.random.Generator(np.random.Philox(13)).standard_normal(grid.shape + (3,))
     path = tmp_path / "big.snap"
     write_snapshot(path, u, model="vector", grid=grid, m=3, tau=0.1, step=0)
-    tracemalloc.start()
-    try:
-        _, back = read_snapshot(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, back = read_snapshot(path)
     assert np.array_equal(back, u)
     # the spatial-first view of the array read from disk, not a copy of it
     assert back.flags.writeable and min(back.strides[3:]) > max(back.strides[:3])
-    assert peak <= 1.1 * u.nbytes, peak / u.nbytes
+    peak = peak_field_sizes(lambda: read_snapshot(path), u.nbytes)
+    assert peak <= 1.1, peak
 
 
 def test_snapshot_cadence(tmp_path):
@@ -614,43 +608,59 @@ def test_transforms_per_step(monkeypatch, case):
     assert tally() == {"rfftn": steps + 1, "inverse": steps + 1}  # 2 per step
 
 
-def _monitored_run_peak(cfg: RunConfig) -> float:
-    """Peak bytes tracemalloc sees in a warm run_experiment, in field sizes.  The
-    figures it is held to assume numpy 2.4's allocation pattern (pocketfft,
-    ufunc temporaries); another release may need them measured anew."""
-    import tracemalloc
-
+def _monitored_run_peak(peak_field_sizes, cfg: RunConfig) -> float:
+    """Peak bytes tracemalloc sees in a warm run_experiment, in field sizes."""
     u0 = build_initial(cfg, TorusGrid(cfg.d, cfg.n))
-    run_experiment(cfg, u0)  # numpy's FFT caches
-    tracemalloc.start()
-    try:
-        run_experiment(cfg, u0)
-        return tracemalloc.get_traced_memory()[1] / u0.nbytes
-    finally:
-        tracemalloc.stop()
+    return peak_field_sizes(lambda: run_experiment(cfg, u0), u0.nbytes)
 
 
-def test_monitored_run_peak_memory():
-    # the run holds u~_n, not the previous step's field or spectrum, a 3D
-    # inverse transform runs its complex passes in place, and g_scalar reuses
-    # one buffer: a step peaks at the inverse transform of u~ (field,
-    # spectrum, the transform's work buffer and its output), 4.66 field sizes,
-    # against 5.27 when each g_scalar operation allocated its own result
+def test_monitored_run_peak_memory(peak_field_sizes):
+    # the run holds u~_n, not the previous step's field or spectrum, makes u~_n
+    # in place on the spectrum it then drops, and the sup norm adds its squares
+    # plane by plane: a step peaks at 3.66 field sizes, at the field's inverse
+    # transform (the spectrum, the transform's work buffer and the field, and
+    # the run's half-lattice arrays).  Making u~_n on a spectrum of its own
+    # reads 4.66, a second reference to the record's spectrum 4.60, and a
+    # squared copy of the field for the sup norm 3.93
     cfg = RunConfig(model="vector", d=3, n=32, m=3, tau=0.02, steps=4, ic="smooth", seed=1)
-    peak = _monitored_run_peak(cfg)
-    assert peak <= 4.9, peak
+    peak = _monitored_run_peak(peak_field_sizes, cfg)
+    assert peak <= 3.85, peak
 
 
-def test_monitored_2x2_run_peak_memory():
-    # the 2 x 2 flow and potential reuse their quarter-field buffers, so the
-    # modified potential on u~_n, taken while the record holds field, spectrum
-    # and u~_n, adds about one field size and comes level with the inverse
-    # transform's peak: 4.96 field sizes, against 5.75 when the potential
-    # held all of Q, R, s1, s2 and the parts
+def test_monitored_2x2_run_peak_memory(peak_field_sizes):
+    # the 2 x 2 flow and potential reuse their quarter-field buffers and u~_n
+    # is made on the record's spectrum, so the step peaks in the standard
+    # potential, where the Gram matrix and A^T A - I sit beside the field and
+    # the spectrum: 4.96 field sizes.  One Gram buffer, made in place, would
+    # take it to 3.97
     cfg = RunConfig(model="matrix", d=2, n=64, m=2, tau=0.01, steps=4, ic="polar_star",
                     threshold_policy="enforce")
-    peak = _monitored_run_peak(cfg)
+    peak = _monitored_run_peak(peak_field_sizes, cfg)
     assert peak <= 5.2, peak
+
+
+def test_monitored_3x3_run_peak_memory(peak_field_sizes):
+    # 3 x 3 matrices take the flow through the Gram eigenvectors (eigh), whose
+    # batched temporaries set the peak: 5.85 field sizes, inside the flow,
+    # where the record holds only u~_n
+    cfg = RunConfig(model="matrix", d=2, n=64, m=3, tau=0.01, steps=4, ic="smooth", seed=1)
+    peak = _monitored_run_peak(peak_field_sizes, cfg)
+    assert peak <= 6.1, peak
+
+
+@pytest.mark.parametrize("model, m", [("vector", 3), ("matrix", 2), ("matrix", 3)])
+def test_runs_never_write_the_callers_field(model, m):
+    # the step-0 record holds the caller's field as given; what is made in
+    # place (u~_0 on the spectrum, the flows' buffers) is the run's own
+    cfg = RunConfig(model=model, d=2, n=16, m=m, tau=0.01, steps=3, ic="smooth", seed=4)
+    u = build_initial(cfg, TorusGrid(cfg.d, cfg.n))
+    for layout in (np.ascontiguousarray, lambda a: a):  # components fastest, and slowest
+        given = layout(u)
+        before = given.tobytes()
+        run_experiment(cfg, initial=given)
+        (evolve,) = harness.MODELS[model].lookup("evolve")
+        evolve(TorusGrid(cfg.d, cfg.n), given, cfg.tau, cfg.steps)
+        assert given.tobytes() == before
 
 
 def test_large_tau_runs_stay_finite():
@@ -667,6 +677,19 @@ def test_large_tau_runs_stay_finite():
             assert trace.dissipation_all_ok
             assert all(np.isfinite(trace.column(c)).all() for c in ("energy_standard", "energy_modified"))
             assert trace.rows[-1].sup_norm == pytest.approx(sup, rel=1e-12)
+
+
+def test_a_huge_tau_runs_without_warnings():
+    # at tau = 1e308 the heat symbol's exponent -tau |k|^2 / 2 is -inf off
+    # k = 0: the symbol is exactly 0 there, and no overflow is reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(TorusGrid(1, 16).heat_multiplier(5e307, 1), [1.0] + [0.0] * 8)
+        for model in ("vector", "matrix"):
+            cfg = RunConfig(model=model, d=1, n=16, m=2, tau=1e308, steps=1, ic="smooth",
+                            threshold_policy="ignore")
+            trace = run_experiment(cfg)
+            assert trace.rows[-1].time == 1e308 and trace.dissipation_all_ok
 
 
 def test_runs_leave_the_grid_phase_unbuilt(monkeypatch):
@@ -1300,6 +1323,15 @@ _REFUSALS = [
      "error: bad number"),
     ("run-nonfinite-tau", "run {path}", "model=vector\nd=1\nn=16\nm=2\nic=zero\ntau=nan\nsteps=2\n",
      1, "bad number 'nan': not finite"),
+    # 1/tau overflows, and the energies divide by tau
+    ("run-tau-too-small", "run {path}", "model=vector\nd=1\nn=16\nm=2\ntau=3e-309\nsteps=2\n", 1,
+     "error: tau must be finite and > 0 with a finite 1/tau, got 3e-309"),
+    ("converge-tau-too-small", "converge {path}",
+     _LADDER_KEYS_BASE + "tau_ladder=6e-309, 3e-309\nt_final=6e-309\n", 1,
+     "error: tau_ladder entries must be finite and > 0 with a finite 1/tau, got [6e-309, 3e-309]"),
+    # the default 100 steps of 1e308 end at t = inf
+    ("run-end-time-overflows", "run {path}", "model=vector\nd=1\nn=16\nm=2\ntau=1e308\n", 1,
+     "error: steps * tau must be finite, got 100 * 1e+308"),
     # 100000^3 float64 nodes (7 PiB): numpy refuses the first array at once
     ("run-oversized-grid", "run {path}", "model=vector\nd=3\nn=100000\nm=3\nic=zero\nsteps=1\n", 1,
      "error: out of memory"),

@@ -448,22 +448,11 @@ def test_evolve_matches_iterated_steps_in_any_memory_order(grid, shape, order):
     assert np.max(np.abs(tensor.strang_evolve(grid, u, tau, 4, flow) - want)) <= 1e-13
 
 
-def test_bare_evolve_peak_memory_in_field_sizes():
+def test_bare_evolve_peak_memory_in_field_sizes(peak_field_sizes):
     # the bare pipeline never copies the caller's field: on a warm 64^2 x 2
-    # grid it peaks at 3.803 field sizes (spectra, u~, flow temporaries); a
-    # copy of the field per run reads about 4.39.  The pinned figure assumes
-    # numpy 2.4's allocation pattern (pocketfft, ufunc and einsum temporaries):
-    # another numpy release that keeps one more small buffer alive can exceed
-    # it with the pipeline unchanged, and then the figure is measured anew
-    import tracemalloc
-
+    # grid it peaks at 3.80 field sizes (spectra, u~, flow temporaries); a
+    # copy of the field per run reads about 4.39
     grid = TorusGrid(2, 64)
     u = vector.smooth_random_ic(grid, 2, 0.9, seed=1)
-    vector.strang_evolve_vec(grid, u, 0.01, 3)  # warm the grid's cached arrays
-    tracemalloc.start()
-    try:
-        vector.strang_evolve_vec(grid, u, 0.01, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.01 * 3.803 * u.nbytes, peak / u.nbytes
+    peak = peak_field_sizes(lambda: vector.strang_evolve_vec(grid, u, 0.01, 5), u.nbytes)
+    assert peak <= 1.01 * 3.803, peak

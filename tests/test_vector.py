@@ -163,13 +163,10 @@ def test_random_direction_ic_properties():
     assert not np.array_equal(u, other)
 
 
-def test_smooth_random_ic_band_limited_and_scaled():
-    # the real transform pair on the half lattice: 3.73 field sizes at peak
-    # on a warm grid, against 7.28 for the complex pair on the full lattice.
-    # The bound assumes numpy 2.4's allocation pattern (pocketfft, ufunc
-    # temporaries); another release may need it measured anew
-    import tracemalloc
-
+def test_smooth_random_ic_band_limited_and_scaled(peak_field_sizes):
+    # the real transform pair on the half lattice: 3.38 field sizes at peak
+    # on a warm grid, against 8.2 for the complex pair (forward_transform,
+    # inverse_transform) on the full lattice
     from acsplit.grid import forward_transform
 
     grid = TorusGrid(2, 32)
@@ -178,13 +175,8 @@ def test_smooth_random_ic_band_limited_and_scaled():
     c = forward_transform(grid, u)
     mask = grid.wavenumbers_squared > 16.0
     assert np.max(np.abs(c[mask])) <= 1e-14
-    tracemalloc.start()
-    try:
-        smooth_random_ic(grid, 2, 0.8, seed=15, kcut=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.0 * u.nbytes, peak / u.nbytes
+    peak = peak_field_sizes(lambda: smooth_random_ic(grid, 2, 0.8, seed=15, kcut=4), u.nbytes)
+    assert peak <= 5.0, peak
 
 
 def test_smooth_deterministic_ic_structure():
