@@ -214,7 +214,7 @@ def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:
     if t == 0:
         return np.array(values, copy=True)
     coeffs = half_spectrum(grid, values)
-    return half_inverse(grid, coeffs, grid.heat_multiplier(t, coeffs.ndim))
+    return _half_inverse_in_place(grid, coeffs, grid.heat_multiplier(t, coeffs.ndim))
 
 
 def _spectral_sum(grid: TorusGrid, coeffs: np.ndarray, symbol) -> float:

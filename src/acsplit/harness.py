@@ -27,6 +27,7 @@ a matrix field as (m, m, N, ..)).
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import sys
@@ -234,13 +235,13 @@ def load_convergence_config(path: str | os.PathLike) -> tuple[RunConfig, list[fl
 # ---------------------------------------------------------------------------
 # initial conditions
 
-# registry entries take (grid, m, seed, **params)
+# registry entries take (grid, m, seed) and their parameters by name
 def _shared_ics(axes: int, default_sup: Callable[[int], float]) -> dict[str, Callable]:
     """The entries both models have, on fields with `axes` component axes of size m."""
     return {
         "zero": lambda grid, m, seed: np.zeros(grid.shape + (m,) * axes),
-        "smooth": lambda grid, m, seed, sup=None, **params: tensor.smooth_random_ic(
-            grid, (m,) * axes, default_sup(m) if sup is None else sup, seed, **params
+        "smooth": lambda grid, m, seed, sup=None, kcut=4: tensor.smooth_random_ic(
+            grid, (m,) * axes, default_sup(m) if sup is None else sup, seed, kcut
         ),
     }
 
@@ -250,8 +251,8 @@ VECTOR_ICS: dict[str, Callable] = {
     "random_direction": lambda grid, m, seed, magnitude=0.8: vec.random_direction_ic(
         grid, m, magnitude, seed
     ),
-    "smooth_deterministic": lambda grid, m, seed, **params: vec.smooth_deterministic_ic(
-        grid, m, **params
+    "smooth_deterministic": lambda grid, m, seed, magnitude=0.8: vec.smooth_deterministic_ic(
+        grid, m, magnitude
     ),
 }
 
@@ -297,7 +298,6 @@ MODELS = {
         flow="nonlinear_propagate_mat", evolve="strang_evolve_mat", sup="sup_frobenius",
         energy_standard="standard_energy_mat", energy_modified="modified_energy_mat")),
 }
-COMPONENT_AXES = {name: model.axes for name, model in MODELS.items()}
 
 
 def build_initial(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
@@ -309,10 +309,15 @@ def build_initial(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
             raise ConfigError("snapshot geometry does not match config: snapshot has "
                               + " ".join(f"{k}={meta[k]}" for k in shared))
         return values
+    make = MODELS[cfg.model].ics[cfg.ic]
     try:
-        return MODELS[cfg.model].ics[cfg.ic](grid, cfg.m, cfg.seed, **cfg.ic_params)
-    except TypeError as e:
-        raise ConfigError(f"bad parameters for ic {cfg.ic!r}: {e}") from e
+        return make(grid, cfg.m, cfg.seed, **cfg.ic_params)
+    except TypeError as e:  # only here is the signature read: a valid ic runs the call alone
+        takes = list(inspect.signature(make).parameters)[3:]
+        if not (unknown := [k for k in cfg.ic_params if k not in takes]):
+            raise
+        raise ConfigError(f"ic {cfg.ic!r} has no parameter {', '.join(map(repr, unknown))}; "
+                          f"it takes {', '.join(takes) or 'none'}") from e
 
 
 # ---------------------------------------------------------------------------

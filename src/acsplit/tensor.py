@@ -94,13 +94,13 @@ def _gram_function(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.
     """A fn(A^T A), with the scalar function fn acting on the Gram eigenvalues."""
     if a.shape[-1] == 1:  # the 1 x 1 Gram matrix is its own eigenvalue
         return a * fn(_column_norms_sq(a)[..., None, :])
-    _, v = np.linalg.eigh(_gram(a))
+    v = np.linalg.eigh(_gram(a)).eigenvectors
     av = a @ v
     # the eigenvalues as squared column norms of A V: nonnegative, and accurate
     # relative to each sigma_i rather than only to the largest, which keeps
     # the flow at large t as accurate as a singular value decomposition
-    lam = np.sum(av * av, axis=-2, keepdims=True)
-    return (av * fn(lam)) @ np.swapaxes(v, -1, -2)
+    av *= fn(_column_norms_sq(av)[..., None, :])
+    return np.matmul(av, np.swapaxes(v, -1, -2), out=np.empty_like(a))
 
 
 def _parts(a: np.ndarray, k: int, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +231,7 @@ def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
 
     Memory order: u is kept as given, never copied.  Every half_spectrum has
     the component axes slowest in memory, and the inverse transforms, products
-    and the q = 1 and 2 x 2 flows keep that order (the eigh path's output does
-    not, until its next transform).
+    and flows keep that order.
     """
     state = StepRecord(grid, tau, field=u)
     del u
