@@ -20,9 +20,9 @@ Memory order: half_spectrum lays its result out with the trailing axes
 slowest in memory under the same spatial-first shape, so that every transform
 runs over contiguous planes.  The inverse transform, ufuncs, empty_like and
 einsum keep the order of their input, so a field made from such a spectrum
-has it too; this is also the snapshot files' order.  half_inverse runs its
-complex passes in place on one buffer it owns (the product with its
-multiplier, or the first pass's output), as half_spectrum's rfftn does.
+has it too; this is also the snapshot files' order.  half_inverse makes one
+buffer (a copy of the spectrum in its order, or the product with the
+multiplier) and runs every complex pass in place on it.
 """
 
 from __future__ import annotations
@@ -187,29 +187,32 @@ def half_inverse(
 ) -> np.ndarray:
     """The real field whose half_spectrum is `spectrum`, or `spectrum * multiplier`;
     `spectrum` is never written."""
-    work = spectrum if multiplier is None else spectrum * multiplier
-    # irfftn's passes, the complex ones in place on one buffer of this call's own
-    for ax in grid.spatial_axes[:-1]:
-        work = np.fft.ifft(work, axis=ax, out=None if work is spectrum else work)
-    return np.fft.irfft(work, n=grid.n, axis=grid.d - 1)
+    work = spectrum.copy(order="K") if multiplier is None else spectrum * multiplier
+    return _half_inverse_in_place(grid, work)
 
 
-def _half_inverse_in_place(grid: TorusGrid, spectrum: np.ndarray, multiplier) -> np.ndarray:
+def _half_inverse_in_place(grid: TorusGrid, spectrum: np.ndarray, multiplier=None) -> np.ndarray:
     """half_inverse(grid, spectrum, multiplier), made on `spectrum`'s buffer, overwriting it."""
-    spectrum *= multiplier
-    for ax in grid.spatial_axes[:-1]:
+    if multiplier is not None:
+        spectrum *= multiplier
+    for ax in grid.spatial_axes[:-1]:  # irfftn's complex passes, in place
         spectrum = np.fft.ifft(spectrum, axis=ax, out=spectrum)
     return np.fft.irfft(spectrum, n=grid.n, axis=grid.d - 1)
+
+
+def _check_time(t: float, name: str = "tau", zero_ok: bool = False) -> None:
+    """Refuse a time t unless it is finite and > 0 (>= 0 if zero_ok)."""
+    if not ((0 <= t if zero_ok else 0 < t) and t < np.inf):  # NaN fails both
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {t}")
 
 
 def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:
     """Heat semigroup e^{t*Laplacian}: multiplier e^{-t|k|^2} per coefficient.
 
     Applied componentwise over any trailing axes.  The k = 0 multiplier is
-    exactly 1, so the spatial mean is preserved.  Requires t >= 0.
+    exactly 1, so the spatial mean is preserved.  Requires a finite t >= 0.
     """
-    if t < 0:
-        raise ValueError(f"heat propagation time must be >= 0, got {t}")
+    _check_time(t, "heat propagation time", zero_ok=True)
     values = _check_field(grid, values)
     if t == 0:
         return np.array(values, copy=True)
@@ -217,19 +220,31 @@ def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:
     return _half_inverse_in_place(grid, coeffs, grid.heat_multiplier(t, coeffs.ndim))
 
 
-def _spectral_sum(grid: TorusGrid, coeffs: np.ndarray, symbol) -> float:
-    """(2*pi)^d sum_k symbol(|k|^2) |u_hat[k]|^2, trailing axes summed, from the
-    coefficients of forward_transform or from a field's half_spectrum."""
+def _spectral_sums(grid: TorusGrid, coeffs: np.ndarray, *symbols) -> list[float]:
+    """(2*pi)^d sum_k symbol(|k|^2) |u_hat[k]|^2 per symbol, trailing axes summed,
+    from the coefficients of forward_transform or from a field's half_spectrum."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape[: grid.d] == grid._k2r.shape:  # half lattice, unnormalized
-        mult = grid._wr * symbol(grid._k2r) / float(grid.n) ** (2 * grid.d)
+    if half := coeffs.shape[: grid.d] == grid._k2r.shape:  # half lattice, unnormalized
+        k2, scale = grid._k2r, grid.volume / float(grid.n) ** (2 * grid.d)
     else:
         _check_field(grid, coeffs)
-        mult = symbol(grid.wavenumbers_squared)
-    # |c|^2 summed over trailing axes, in any memory order and without a copy
+        k2, scale = grid.wavenumbers_squared, grid.volume
+    # the mode power sum_c |c_k|^2, once, in any memory order and without a copy
     flat = coeffs.reshape(coeffs.shape[: grid.d] + (-1,))
-    power = sum(np.einsum("...i,...i->...", x, x) for x in (flat.real, flat.imag))
-    return float(grid.volume * np.sum(mult * power))
+    power = np.einsum("...i,...i->...", flat.real, flat.real)
+    power += np.einsum("...i,...i->...", flat.imag, flat.imag)
+    if half:  # a mode's weight in place, and one dot product per symbol
+        power *= grid._wr
+    return [scale * float(np.vdot(symbol(k2), power)) for symbol in symbols]
+
+
+def _dirichlet_symbol(k2: np.ndarray) -> np.ndarray:
+    return 0.5 * k2
+
+
+def _dissipation_symbol(tau: float):
+    _check_time(tau)
+    return lambda k2: -np.expm1(-tau * k2)
 
 
 def dissipation_quadratic(grid: TorusGrid, coeffs: np.ndarray, tau: float) -> float:
@@ -242,9 +257,7 @@ def dissipation_quadratic(grid: TorusGrid, coeffs: np.ndarray, tau: float) -> fl
     are summed (componentwise scalar forms add).  Uses expm1 so that small
     tau suffers no cancellation.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    return _spectral_sum(grid, coeffs, lambda k2: -np.expm1(-tau * k2))
+    return _spectral_sums(grid, coeffs, _dissipation_symbol(tau))[0]
 
 
 def dirichlet_energy(grid: TorusGrid, coeffs: np.ndarray) -> float:
@@ -254,4 +267,4 @@ def dirichlet_energy(grid: TorusGrid, coeffs: np.ndarray) -> float:
     Equals (1/2) * integral |grad u|^2 for the trigonometric interpolant.
     Trailing axes are summed.
     """
-    return 0.5 * _spectral_sum(grid, coeffs, lambda k2: k2)
+    return _spectral_sums(grid, coeffs, _dirichlet_symbol)[0]

@@ -50,8 +50,7 @@ def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
     which has no subtractive cancellation for small tau or small lam, and
     no overflow at large tau.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    spectral._check_time(tau)
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim == 0:  # out= needs arrays, and ufuncs give scalars on 0-d operands
         return g_scalar(lam[None], tau)[0]
@@ -159,11 +158,10 @@ def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
 def nonlinear_propagate(a: np.ndarray, t: float) -> np.ndarray:
     """S_N(t) A on the trailing m x q axes.  It keeps the right singular
     vectors (hence the rank) and fixes matrices with orthonormal columns."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    spectral._check_time(t, "t", zero_ok=True)
     a = _checked(a)
     if t == 0:
-        return a.copy()  # skip the eigendecomposition's last-ulp noise
+        return a.copy(order="K")  # skip the eigendecomposition's last-ulp noise
     if a.shape[-2:] == (2, 2):  # one matrix as a batch of one, as in g_scalar
         return _flow_2x2(a[None], t)[0] if a.ndim == 2 else _flow_2x2(a, t)
     return _gram_function(a, lambda lam: _flow_factor(lam, t))
@@ -172,8 +170,7 @@ def nonlinear_propagate(a: np.ndarray, t: float) -> np.ndarray:
 def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> np.ndarray:
     """One step S_L(tau/2) S_N(tau) S_L(tau/2), `flow` being the model's S_N
     on its own field shape: the plain composition, as a reference."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    spectral._check_time(tau)
     u_tilde = spectral.heat_propagate(grid, u, 0.5 * tau)
     return spectral.heat_propagate(grid, flow(u_tilde, tau), 0.5 * tau)
 
@@ -181,10 +178,11 @@ def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> n
 class StepRecord:
     """A state u_n of a splitting run with step tau, as the run holds it: the
     field, its half spectrum (grid.half_spectrum) and u~_n = S_L(tau/2) u_n,
-    where the modified energy lives.  Each is made from what is known on
-    first use and then kept, except that u~_n made once the field is known
-    is made on the spectrum's buffer and consumes it: a later read makes the
-    spectrum again from the field.  A given field is never written.  The
+    where the modified energy lives, and for a record that knows tau the two
+    quadratic forms both energies read, from one pass over the spectrum.  Each
+    is made from what is known on first use and then kept, except that u~_n
+    made once the field is known is made on the spectrum's buffer and
+    consumes it: a later read makes the spectrum again from the field.  A given field is never written.  The
     spectrum has its component axes slowest in memory (grid's Memory order),
     and so have u~_n and a field made from it; a given field keeps its own
     order.  The energy functions take a record or a field; a field is first
@@ -211,6 +209,12 @@ class StepRecord:
         if "field" not in vars(self):
             return spectral.half_inverse(self.grid, self.spectrum, self.half_heat)
         return self._consume_spectrum()
+
+    @cached_property
+    def quadratic_forms(self) -> tuple[float, float]:
+        """(dirichlet_energy, dissipation_quadratic at tau) of the spectrum, in one pass."""
+        symbols = spectral._dirichlet_symbol, spectral._dissipation_symbol(self.tau)
+        return tuple(spectral._spectral_sums(self.grid, self.spectrum, *symbols))
 
     def _consume_spectrum(self) -> np.ndarray:
         """u~_n made on the spectrum's buffer, which the record then drops."""
@@ -253,8 +257,7 @@ def strang_evolve(
     """`steps` splitting steps, the same as iterating strang_step, through the
     run's pipeline (_strang_states) with nothing monitored: the half heat
     steps between two flows take one transform pair."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    spectral._check_time(tau)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
@@ -284,8 +287,7 @@ def potential(a: np.ndarray, tau: float) -> np.ndarray:
 
 def gradient(a: np.ndarray, tau: float) -> np.ndarray:
     """Gradient of `potential` in A:  (A - e^tau A (I + expm1(2 tau) A^T A)^{-1/2}) / tau."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    spectral._check_time(tau)
     a = np.asarray(a, dtype=np.float64)
     return (a - nonlinear_propagate(a, tau)) / tau
 
@@ -324,10 +326,9 @@ def modified_energy(grid: TorusGrid, a, tau: float, potential_fn: Callable) -> f
     spectrum of A itself, so the growing symbol e^{+tau|k|^2} never
     appears; the constant aligns it with the standard energy as tau -> 0.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    spectral._check_time(tau)
     state = _record(grid, a, tau)
-    quad = spectral.dissipation_quadratic(grid, state.spectrum, tau) / (2.0 * tau)
+    quad = state.quadratic_forms[1] / (2.0 * tau)
     a_tilde = _matrices(grid, state.u_tilde)
     pot = grid.cell_volume * float(np.sum(potential_fn(a_tilde, tau)))
     return quad + pot + 0.25 * a_tilde.shape[-1] * grid.volume
@@ -340,7 +341,10 @@ def standard_energy(grid: TorusGrid, a) -> float:
     a = _matrices(grid, state.field)
     dev = np.einsum("...ki,...kj->...ij", a, a) - np.eye(a.shape[-1])
     pot = 0.25 * grid.cell_volume * float(np.sum(dev * dev))
-    return spectral.dirichlet_energy(grid, state.spectrum) + pot
+    del dev  # the Gram buffers go before the spectral pass
+    if state.tau is None:  # a field: no pair to share
+        return spectral.dirichlet_energy(grid, state.spectrum) + pot
+    return state.quadratic_forms[0] + pot
 
 
 def sup_norm(a: np.ndarray) -> float:

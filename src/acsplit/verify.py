@@ -138,7 +138,7 @@ def _half_lattice_roundtrip():
         h = spectral.half_spectrum(grid, f)
         trip = max(trip, np.max(np.abs(spectral.half_inverse(grid, h) - f)) / np.max(np.abs(f)))
         lhs = grid.cell_volume * np.sum(f * f)
-        parseval = max(parseval, abs(spectral._spectral_sum(grid, h, np.ones_like) - lhs) / lhs)
+        parseval = max(parseval, abs(spectral._spectral_sums(grid, h, np.ones_like)[0] - lhs) / lhs)
     ok = trip <= 1e-12 and parseval <= 1e-12
     return ok, f"d = 1, 2, 3: round-trip rel err {trip:.2e}; Parseval rel defect {parseval:.2e}"
 

@@ -608,6 +608,26 @@ def test_transforms_per_step(monkeypatch, case):
     assert tally() == {"rfftn": steps + 1, "inverse": steps + 1}  # 2 per step
 
 
+@pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+def test_monitored_step_reads_its_spectrum_once(monkeypatch, case):
+    # both energies of a step share one pass over its spectrum (the record's
+    # quadratic_forms), and the standard energy reads its first member
+    cfg = RunConfig(**PIPELINE_CASES[case])
+    grid = TorusGrid(cfg.d, cfg.n)
+    u0 = build_initial(cfg, grid)
+    e_std = _monitors_and_evolve(cfg)[1](grid, u0)  # a field: dirichlet_energy, not the pair
+    real, passes = acsplit.grid._spectral_sums, []
+
+    def counted(*args):
+        passes.append(len(args) - 2)  # the symbols it weighs
+        return real(*args)
+
+    monkeypatch.setattr(acsplit.grid, "_spectral_sums", counted)
+    trace = run_experiment(cfg, u0)
+    assert passes == [2] * (cfg.steps + 1)
+    assert trace.rows[0].energy_standard == pytest.approx(e_std, rel=1e-13, abs=0.0)
+
+
 def _monitored_run_peak(peak_field_sizes, cfg: RunConfig) -> float:
     """Peak bytes tracemalloc sees in a warm run_experiment, in field sizes."""
     u0 = build_initial(cfg, TorusGrid(cfg.d, cfg.n))

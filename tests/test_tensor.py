@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from acsplit import grid as spectral
 from acsplit import matrix, tensor, vector
 from acsplit.grid import TorusGrid
 from acsplit.harness import RunConfig, run_experiment
@@ -380,6 +381,32 @@ def test_kernels_refuse_entries_whose_squares_overflow(a):
 
 
 # ---------------------------------------------------------------------------
+# times: every function of a time or a step refuses NaN and infinities by name
+
+TIMED = {
+    "heat_propagate": lambda grid, u, t: spectral.heat_propagate(grid, u, t),
+    "dissipation_quadratic": lambda grid, u, t: spectral.dissipation_quadratic(
+        grid, spectral.half_spectrum(grid, u), t),
+    "g_scalar": lambda grid, u, t: tensor.g_scalar(u, t),
+    "nonlinear_propagate": lambda grid, u, t: tensor.nonlinear_propagate(u, t),
+    "strang_step": lambda grid, u, t: tensor.strang_step(grid, u, t, tensor.nonlinear_propagate),
+    "strang_evolve": lambda grid, u, t: tensor.strang_evolve(grid, u, t, 2, tensor.nonlinear_propagate),
+    "strang_evolve_vec": lambda grid, u, t: vector.strang_evolve_vec(grid, u[..., 0], t, 2),
+    "gradient": lambda grid, u, t: tensor.gradient(u, t),
+    "modified_energy": lambda grid, u, t: tensor.modified_energy(grid, u, t, tensor.potential),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(TIMED))
+def test_nonfinite_times_are_refused_by_name(name, t):
+    grid = TorusGrid(2, 8)
+    u = tensor.smooth_random_ic(grid, (2, 1), 0.8, seed=3)
+    with pytest.raises(ValueError, match=r"^(tau|t|heat propagation time) must be finite and >=? 0, got (nan|-?inf)$"):
+        TIMED[name](grid, u, t)
+
+
+# ---------------------------------------------------------------------------
 # the stepping pipeline's records
 
 
@@ -397,6 +424,20 @@ def test_pipeline_records_hold_field_spectrum_and_half_heat_state():
         assert np.max(np.abs(record.u_tilde - heat_propagate(grid, field, 0.5 * tau))) <= 1e-14
         assert np.max(np.abs(record.spectrum - np.fft.rfftn(field, axes=(0, 1)))) <= 1e-12
         assert np.array_equal(field, tensor.strang_evolve(grid, u, tau, n, tensor.nonlinear_propagate))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_record_pair_is_the_two_public_forms(d):
+    # the record's one pass gives what dirichlet_energy and dissipation_quadratic
+    # give on the same spectrum, in that order
+    from acsplit.grid import dirichlet_energy, dissipation_quadratic
+
+    grid, tau = TorusGrid(d, 8), 0.3
+    record = tensor.StepRecord(grid, tau, field=tensor.smooth_random_ic(grid, (2, 2), 1.0, seed=d))
+    dirichlet, dissipation = record.quadratic_forms
+    assert dirichlet == pytest.approx(dirichlet_energy(grid, record.spectrum), rel=1e-13, abs=0.0)
+    assert dissipation == pytest.approx(
+        dissipation_quadratic(grid, record.spectrum, tau), rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +470,10 @@ def test_pipeline_keeps_component_axes_slowest(grid, shape):
     record = next(states)
     for a in (record.spectrum, record.u_tilde, record.field):
         assert _components_slowest(a, grid.d)
-    # the flow keeps the order, and gives on the strided view what it gives on a C-ordered copy
+    # the flow keeps the order (at t = 0 too, where it copies), and gives on the
+    # strided view what it gives on a C-ordered copy
     w, flow = record.u_tilde, _flow_for(shape)
-    assert _components_slowest(flow(w, tau), grid.d)
+    assert _components_slowest(flow(w, tau), grid.d) and _components_slowest(flow(w, 0.0), grid.d)
     assert np.array_equal(flow(w, tau), flow(np.ascontiguousarray(w), tau))
 
 
