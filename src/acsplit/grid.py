@@ -224,27 +224,23 @@ def _spectral_sums(grid: TorusGrid, coeffs: np.ndarray, *symbols) -> list[float]
     """(2*pi)^d sum_k symbol(|k|^2) |u_hat[k]|^2 per symbol, trailing axes summed,
     from the coefficients of forward_transform or from a field's half_spectrum."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if half := coeffs.shape[: grid.d] == grid._k2r.shape:  # half lattice, unnormalized
-        k2, scale = grid._k2r, grid.volume / float(grid.n) ** (2 * grid.d)
-    else:
-        _check_field(grid, coeffs)
-        k2, scale = grid.wavenumbers_squared, grid.volume
     # the mode power sum_c |c_k|^2, once, in any memory order and without a copy
     flat = coeffs.reshape(coeffs.shape[: grid.d] + (-1,))
     power = np.einsum("...i,...i->...", flat.real, flat.real)
     power += np.einsum("...i,...i->...", flat.imag, flat.imag)
-    if half:  # a mode's weight in place, and one dot product per symbol
+    if coeffs.shape[: grid.d] == grid._k2r.shape:  # half lattice, unnormalized
         power *= grid._wr
+        k2, scale = grid._k2r, grid.volume / float(grid.n) ** (2 * grid.d)
+    else:
+        _check_field(grid, coeffs)
+        k2, scale = grid.wavenumbers_squared, grid.volume
     return [scale * float(np.vdot(symbol(k2), power)) for symbol in symbols]
 
 
-def _dirichlet_symbol(k2: np.ndarray) -> np.ndarray:
-    return 0.5 * k2
-
-
-def _dissipation_symbol(tau: float):
+def _form_symbols(tau: float) -> tuple:
+    """The symbols of dirichlet_energy and of dissipation_quadratic at tau."""
     _check_time(tau)
-    return lambda k2: -np.expm1(-tau * k2)
+    return (lambda k2: 0.5 * k2), (lambda k2: -np.expm1(-tau * k2))
 
 
 def dissipation_quadratic(grid: TorusGrid, coeffs: np.ndarray, tau: float) -> float:
@@ -257,7 +253,7 @@ def dissipation_quadratic(grid: TorusGrid, coeffs: np.ndarray, tau: float) -> fl
     are summed (componentwise scalar forms add).  Uses expm1 so that small
     tau suffers no cancellation.
     """
-    return _spectral_sums(grid, coeffs, _dissipation_symbol(tau))[0]
+    return _spectral_sums(grid, coeffs, _form_symbols(tau)[1])[0]
 
 
 def dirichlet_energy(grid: TorusGrid, coeffs: np.ndarray) -> float:
@@ -267,4 +263,4 @@ def dirichlet_energy(grid: TorusGrid, coeffs: np.ndarray) -> float:
     Equals (1/2) * integral |grad u|^2 for the trigonometric interpolant.
     Trailing axes are summed.
     """
-    return _spectral_sums(grid, coeffs, _dirichlet_symbol)[0]
+    return _spectral_sums(grid, coeffs, lambda k2: 0.5 * k2)[0]

@@ -178,11 +178,10 @@ def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> n
 class StepRecord:
     """A state u_n of a splitting run with step tau, as the run holds it: the
     field, its half spectrum (grid.half_spectrum) and u~_n = S_L(tau/2) u_n,
-    where the modified energy lives, and for a record that knows tau the two
-    quadratic forms both energies read, from one pass over the spectrum.  Each
-    is made from what is known on first use and then kept, except that u~_n
-    made once the field is known is made on the spectrum's buffer and
-    consumes it: a later read makes the spectrum again from the field.  A given field is never written.  The
+    where the modified energy lives.  Each is made from what is known on
+    first use and then kept, except that u~_n made once the field is known
+    is made on the spectrum's buffer and consumes it: a later read makes the
+    spectrum again from the field.  A given field is never written.  The
     spectrum has its component axes slowest in memory (grid's Memory order),
     and so have u~_n and a field made from it; a given field keeps its own
     order.  The energy functions take a record or a field; a field is first
@@ -211,10 +210,9 @@ class StepRecord:
         return self._consume_spectrum()
 
     @cached_property
-    def quadratic_forms(self) -> tuple[float, float]:
-        """(dirichlet_energy, dissipation_quadratic at tau) of the spectrum, in one pass."""
-        symbols = spectral._dirichlet_symbol, spectral._dissipation_symbol(self.tau)
-        return tuple(spectral._spectral_sums(self.grid, self.spectrum, *symbols))
+    def quadratic_forms(self) -> list[float]:
+        """[dirichlet_energy, dissipation_quadratic at tau] of the spectrum, in one pass."""
+        return spectral._spectral_sums(self.grid, self.spectrum, *spectral._form_symbols(self.tau))
 
     def _consume_spectrum(self) -> np.ndarray:
         """u~_n made on the spectrum's buffer, which the record then drops."""
@@ -341,10 +339,9 @@ def standard_energy(grid: TorusGrid, a) -> float:
     a = _matrices(grid, state.field)
     dev = np.einsum("...ki,...kj->...ij", a, a) - np.eye(a.shape[-1])
     pot = 0.25 * grid.cell_volume * float(np.sum(dev * dev))
-    del dev  # the Gram buffers go before the spectral pass
-    if state.tau is None:  # a field: no pair to share
-        return spectral.dirichlet_energy(grid, state.spectrum) + pot
-    return state.quadratic_forms[0] + pot
+    del dev  # the Gram buffers go before the spectral pass; a plain field has no pair
+    quad = state.quadratic_forms if state.tau else [spectral.dirichlet_energy(grid, state.spectrum)]
+    return quad[0] + pot
 
 
 def sup_norm(a: np.ndarray) -> float:

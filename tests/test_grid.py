@@ -187,12 +187,12 @@ def test_quadratic_forms_pass_peak_memory(peak_field_sizes):
     # one pass over a 32^3 x 3 half spectrum for both forms makes the mode
     # power once and weights it in place: 0.53 field sizes (the power and the
     # dissipation symbol's two temporaries), where each form alone took 0.71
-    from acsplit.grid import _dirichlet_symbol, _dissipation_symbol, _spectral_sums
+    from acsplit.grid import _form_symbols, _spectral_sums
 
     grid = TorusGrid(3, 32)
     u = np.random.Generator(np.random.Philox(6)).standard_normal(grid.shape + (3,))
     spectrum = half_spectrum(grid, u)
-    symbols = _dirichlet_symbol, _dissipation_symbol(0.02)
+    symbols = _form_symbols(0.02)
     peak = peak_field_sizes(lambda: _spectral_sums(grid, spectrum, *symbols), u.nbytes)
     assert peak <= 0.6, peak
 
