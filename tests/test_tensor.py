@@ -430,14 +430,12 @@ def test_pipeline_records_hold_field_spectrum_and_half_heat_state():
 def test_record_pair_is_the_two_public_forms(d):
     # the record's one pass gives what dirichlet_energy and dissipation_quadratic
     # give on the same spectrum, in that order
-    from acsplit.grid import dirichlet_energy, dissipation_quadratic
-
     grid, tau = TorusGrid(d, 8), 0.3
     record = tensor.StepRecord(grid, tau, field=tensor.smooth_random_ic(grid, (2, 2), 1.0, seed=d))
     dirichlet, dissipation = record.quadratic_forms
-    assert dirichlet == pytest.approx(dirichlet_energy(grid, record.spectrum), rel=1e-13, abs=0.0)
+    assert dirichlet == pytest.approx(spectral.dirichlet_energy(grid, record.spectrum), rel=1e-13, abs=0.0)
     assert dissipation == pytest.approx(
-        dissipation_quadratic(grid, record.spectrum, tau), rel=1e-13, abs=0.0)
+        spectral.dissipation_quadratic(grid, record.spectrum, tau), rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
