@@ -22,7 +22,8 @@ runs over contiguous planes.  The inverse transform, ufuncs, empty_like and
 einsum keep the order of their input, so a field made from such a spectrum
 has it too; this is also the snapshot files' order.  half_inverse makes one
 buffer (a copy of the spectrum in its order, or the product with the
-multiplier) and runs every complex pass in place on it.
+multiplier) and runs every complex pass in place on it; at d = 1 there is no
+complex pass, and a bare spectrum goes to the real pass uncopied.
 """
 
 from __future__ import annotations
@@ -187,8 +188,9 @@ def half_inverse(
 ) -> np.ndarray:
     """The real field whose half_spectrum is `spectrum`, or `spectrum * multiplier`;
     `spectrum` is never written."""
-    work = spectrum.copy(order="K") if multiplier is None else spectrum * multiplier
-    return _half_inverse_in_place(grid, work)
+    if multiplier is not None or grid.d > 1:  # at d = 1 no complex pass writes a buffer
+        spectrum = spectrum.copy(order="K") if multiplier is None else spectrum * multiplier
+    return _half_inverse_in_place(grid, spectrum)
 
 
 def _half_inverse_in_place(grid: TorusGrid, spectrum: np.ndarray, multiplier=None) -> np.ndarray:
@@ -200,10 +202,13 @@ def _half_inverse_in_place(grid: TorusGrid, spectrum: np.ndarray, multiplier=Non
     return np.fft.irfft(spectrum, n=grid.n, axis=grid.d - 1)
 
 
-def _check_time(t: float, name: str = "tau", zero_ok: bool = False) -> None:
-    """Refuse a time t unless it is finite and > 0 (>= 0 if zero_ok)."""
-    if not ((0 <= t if zero_ok else 0 < t) and t < np.inf):  # NaN fails both
-        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {t}")
+def _check_time(t: float, name: str = "tau", zero_ok: bool = False, error=ValueError) -> None:
+    """The package's one rule, refusing with `error`: a time (zero_ok) is finite and
+    >= 0, a step finite and > 0 with a finite 1/tau (the modified energy divides by it)."""
+    t = float(t)  # a float's 1/t is inf where an np.float64's warns of overflow
+    if not (0 <= t < np.inf if zero_ok else 0 < t < np.inf and 1.0 / t < np.inf):  # NaN fails
+        raise error(f"{name} must be finite and {'>= 0' if zero_ok else '> 0 with a finite 1/tau'}"
+                    f", got {t}")
 
 
 def heat_propagate(grid: TorusGrid, values: np.ndarray, t: float) -> np.ndarray:

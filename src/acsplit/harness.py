@@ -43,7 +43,7 @@ import numpy as np
 from . import matrix as mat
 from . import tensor
 from . import vector as vec
-from .grid import TorusGrid, geometry_error
+from .grid import TorusGrid, _check_time, geometry_error
 
 __all__ = [
     "ConfigError",
@@ -130,13 +130,11 @@ class RunConfig:
             raise ConfigError(f"model must be {' or '.join(map(repr, MODELS))}, got {self.model!r}")
         if why := geometry_error(self.d, self.n, self.m):
             raise ConfigError(why)
-        # a NaN tau fails too; the energies divide by tau
-        if not (0 < self.tau < math.inf and 1.0 / self.tau < math.inf):
-            raise ConfigError(f"tau must be finite and > 0 with a finite 1/tau, got {self.tau}")
+        _check_time(self.tau, error=ConfigError)
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        if self.steps > sys.float_info.max or not math.isfinite(self.steps * self.tau):
-            raise ConfigError(f"steps * tau must be finite, got {self.steps} * {self.tau}")
+        end = self.steps * self.tau if self.steps <= sys.float_info.max else math.inf
+        _check_time(end, f"steps * tau = {self.steps} * {self.tau}", zero_ok=True, error=ConfigError)
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
         if self.snapshot_every and not self.out_dir:
@@ -391,6 +389,7 @@ def write_snapshot(
     component/entry axes slowest-varying."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
+    _check_time(tau)  # the reader's rule, so that what is written can be read
     values = np.asarray(values, dtype=np.float64)
     expected = grid.shape + (m,) * MODELS[model].axes
     if values.shape != expected:
@@ -431,8 +430,7 @@ def _read_snapshot_header(fh) -> dict:
         meta.update({k: kind(meta[k]) for k, kind in SNAPSHOT_KEYS.items() if kind is not str})
     except (KeyError, ValueError) as e:
         raise SnapshotFormatError(f"incomplete snapshot header: {e}") from e
-    if not 0 < meta["tau"] < math.inf:  # a NaN tau fails too
-        raise SnapshotFormatError(f"bad snapshot tau: must be finite and > 0, got {meta['tau']}")
+    _check_time(meta["tau"], "snapshot tau", error=SnapshotFormatError)
     if meta["step"] < 0:
         raise SnapshotFormatError(f"bad snapshot step: must be >= 0, got {meta['step']}")
     if bad := [k for k, v in _ENCODING.items() if meta.get(k) != v]:
@@ -606,14 +604,12 @@ class ConvergenceReport:
 
 def _steps_for(t_final: float, tau: float) -> int:
     steps = t_final / tau
+    if steps > sys.maxsize:  # also where t_final / tau overflows to inf
+        raise ConfigError(f"t_final = {t_final} takes {steps:.0f} steps of tau = {tau}: too many")
     rounded = round(steps)
     if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, rounded):
-        raise ConfigError(
-            f"t_final = {t_final} is not an integer multiple of tau = {tau}"
-        )
-    if rounded > sys.maxsize:
-        raise ConfigError(f"t_final = {t_final} takes {rounded} steps of tau = {tau}: too many")
-    return int(rounded)
+        raise ConfigError(f"t_final = {t_final} is not an integer multiple of tau = {tau}")
+    return rounded
 
 
 def convergence_study(
@@ -625,27 +621,27 @@ def convergence_study(
     same splitting run with step t and tau_ref = (finest ladder tau)/8.
     Strang splitting is symmetric, so on smooth data its global error has
     only even powers of tau: the combination cancels the tau^2 term and is
-    fourth-order accurate, far below the ladder's second-order errors.  Data
-    that is not smooth, such as the star defect, has no such expansion (nor
-    is the scheme second order on it).  The ladder must decrease by exact
-    factors of 2 and t_final must be an integer multiple of every ladder
-    step and of both reference steps; every step count is checked before
-    anything runs.  Errors are reported in the cell-weighted l2 norm at
-    t_final.  Each ladder step is judged by cfg's threshold policy, as a run
-    would be.
+    fourth-order accurate, far below the ladder's second-order errors.  The
+    star defect jumps at t = 0, and the scheme is second order on it only
+    from smaller steps on (README, "Config files").  The ladder must
+    decrease by exact factors of 2 and t_final must be an integer multiple
+    of every ladder step and of both reference steps; every step, the
+    reference's too, and every step count is checked before anything runs.
+    Errors are reported in the cell-weighted l2 norm at t_final.  Each
+    ladder step is judged by cfg's threshold policy, as a run would be.
     """
     if len(tau_ladder) < 2:
         raise ConfigError("tau_ladder needs at least two entries")
     taus = [float(t) for t in tau_ladder]
-    if not all(0 < t < math.inf and 1.0 / t < math.inf for t in taus):  # a NaN entry fails too
-        raise ConfigError("tau_ladder entries must be finite and > 0 with a finite 1/tau, "
-                          f"got {taus}")
+    ref_tau = taus[-1] / 8.0
+    for t in taus:
+        _check_time(t, "tau_ladder entry", error=ConfigError)
+    for name, t in (("tau_ref = (finest tau)/8", ref_tau), ("2 tau_ref", 2.0 * ref_tau)):
+        _check_time(t, f"tau_ladder reference step {name}", error=ConfigError)
+    _check_time(t_final, "t_final", zero_ok=True, error=ConfigError)
     for a, b in zip(taus, taus[1:]):
         if abs(a / b - 2.0) > 1e-12:
-            raise ConfigError(
-                f"tau_ladder must decrease by exact factors of 2; got {a} -> {b}"
-            )
-    ref_tau = taus[-1] / 8.0
+            raise ConfigError(f"tau_ladder must decrease by exact factors of 2; got {a} -> {b}")
     rung_steps = [_steps_for(t_final, t) for t in taus]
     fine_steps, coarse_steps = (_steps_for(t_final, t) for t in (ref_tau, 2.0 * ref_tau))
     for t in taus:

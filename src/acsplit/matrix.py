@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor
-from .grid import TorusGrid, heat_propagate
+from .grid import TorusGrid, _check_time, heat_propagate
 from .tensor import INEQUALITY_SLACK
 
 __all__ = [
@@ -115,8 +115,7 @@ def threshold_check(tau: float, m: int) -> ThresholdResult:
 
     margin = threshold - m e^tau (e^{2 tau} - 1); negative when violated.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _check_time(tau)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     with np.errstate(over="ignore"):  # inf beyond tau ~ 236, far past the bound
@@ -155,8 +154,7 @@ def projection_split_step(grid: TorusGrid, u: np.ndarray, tau: float) -> np.ndar
     (sigma_min <= 1e-12) has no well-defined projection; reported with the
     offending node's index.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    _check_time(tau, zero_ok=True)
     a = heat_propagate(grid, np.asarray(u, dtype=np.float64), tau)
     w, s, vt = np.linalg.svd(a)
     smin = s[..., -1]

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _check_time
+
 __all__ = ["OracleConfig", "integrate_vector_ode", "integrate_matrix_ode"]
 
 
@@ -65,10 +67,9 @@ def integrate_matrix_ode(
     `a` may carry leading batch axes; the trailing two axes are the m x q
     matrix axes.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t, "t", zero_ok=True)
     a = np.asarray(a, dtype=np.float64)
     if t == 0:
-        return a.copy()
+        return a.copy(order="K")
     # the q x q Gram matrix U^T U first: for a column it is the scalar |u|^2
     return _rk4(a, t, cfg.substeps(t), lambda u: u - u @ (np.swapaxes(u, -1, -2) @ u))

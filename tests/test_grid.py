@@ -183,6 +183,18 @@ def test_half_inverse_is_irfftn_and_leaves_the_spectrum(d, heat):
     assert min(got.strides[d:]) > max(got.strides[:d])  # components slowest
 
 
+def test_half_inverse_peak_memory_at_d1(peak_field_sizes):
+    # d = 1 runs no complex pass, so the bare spectrum goes to irfft uncopied:
+    # the field alone, 1.00 field size on 2^16 x 3, where a copy read 2.00
+    grid = TorusGrid(1, 2**16)
+    u = np.random.Generator(np.random.Philox(7)).standard_normal(grid.shape + (3,))
+    spectrum = half_spectrum(grid, u)
+    kept = spectrum.copy()
+    peak = peak_field_sizes(lambda: half_inverse(grid, spectrum), u.nbytes)
+    assert peak <= 1.1, peak
+    assert np.array_equal(spectrum, kept)
+
+
 def test_quadratic_forms_pass_peak_memory(peak_field_sizes):
     # one pass over a 32^3 x 3 half spectrum for both forms makes the mode
     # power once and weights it in place: 0.53 field sizes (the power and the

@@ -808,6 +808,9 @@ def test_convergence_refuses_a_bad_ladder_before_any_run(monkeypatch):
     cfg = RunConfig(model="vector", d=1, n=8, m=2, tau=0.1, steps=1, ic="smooth")
     with pytest.raises(ConfigError, match="t_final = 0.05 is not an integer multiple of tau = 0.04"):
         convergence_study(cfg, [0.04, 0.02, 0.01], 0.05)
+    # the rungs pass, but the reference step (finest tau)/8 has no finite 1/tau
+    with pytest.raises(ConfigError, match=r"reference step tau_ref = \(finest tau\)/8 must be finite"):
+        convergence_study(cfg, [8e-308, 4e-308], 8e-308)
     assert calls == []
 
 
@@ -1358,10 +1361,15 @@ _REFUSALS = [
      "error: tau must be finite and > 0 with a finite 1/tau, got 3e-309"),
     ("converge-tau-too-small", "converge {path}",
      _LADDER_KEYS_BASE + "tau_ladder=6e-309, 3e-309\nt_final=6e-309\n", 1,
-     "error: tau_ladder entries must be finite and > 0 with a finite 1/tau, got [6e-309, 3e-309]"),
+     "error: tau_ladder entry must be finite and > 0 with a finite 1/tau, got 3e-309"),
+    # the rungs pass, but the reference step (finest tau)/8 = 5e-309 has no finite 1/tau
+    ("converge-reference-step-too-small", "converge {path}",
+     _LADDER_KEYS_BASE + "tau_ladder=8e-308, 4e-308\nt_final=8e-308\n", 1,
+     "error: tau_ladder reference step tau_ref = (finest tau)/8 must be finite and > 0 with a "
+     "finite 1/tau, got 5e-309"),
     # the default 100 steps of 1e308 end at t = inf
     ("run-end-time-overflows", "run {path}", "model=vector\nd=1\nn=16\nm=2\ntau=1e308\n", 1,
-     "error: steps * tau must be finite, got 100 * 1e+308"),
+     "error: steps * tau = 100 * 1e+308 must be finite and >= 0, got inf"),
     # 100000^3 float64 nodes (7 PiB): numpy refuses the first array at once
     ("run-oversized-grid", "run {path}", "model=vector\nd=3\nn=100000\nm=3\nic=zero\nsteps=1\n", 1,
      "error: out of memory"),
@@ -1376,6 +1384,10 @@ _REFUSALS = [
     # 1.6e19 reference steps: more than an index can count, refused before the run
     ("converge-too-many-steps", "converge {path}", _LADDER_KEYS_BASE + "tau_ladder=0.1, 0.05\nt_final=1e17\n",
      1, "error: t_final = 1e+17 takes 16000000000000000000 steps of tau = 0.00625"),
+    # t_final / tau overflows to inf steps
+    ("converge-step-count-overflows", "converge {path}",
+     _LADDER_KEYS_BASE + "tau_ladder=0.2, 0.1\nt_final=1e308\n", 1,
+     "error: t_final = 1e+308 takes inf steps of tau = 0.2: too many"),
     # finite entries whose pointwise squared norm overflows, and a finite sup
     # norm whose standard energy (the squared Gram matrix) overflows: a config
     # error that names the limit, not an overflow warning and an invariant failure
@@ -1407,9 +1419,9 @@ _REFUSALS = [
     ("info-unknown-key", "info {path}", (b"\nend\n", b"\nextra=1\nend\n"), 3,
      "unknown or repeated snapshot header key 'extra'"),
     ("info-nonfinite-tau", "info {path}", (b"\ntau=0.1\n", b"\ntau=nan\n"), 3,
-     "bad snapshot tau: must be finite and > 0, got nan"),
+     "snapshot tau must be finite and > 0 with a finite 1/tau, got nan"),
     ("info-nonpositive-tau", "info {path}", (b"\ntau=0.1\n", b"\ntau=-1.0\n"), 3,
-     "bad snapshot tau: must be finite and > 0, got -1.0"),
+     "snapshot tau must be finite and > 0 with a finite 1/tau, got -1.0"),
     ("info-negative-step", "info {path}", (b"\nstep=0\n", b"\nstep=-7\n"), 3,
      "bad snapshot step: must be >= 0, got -7"),
 ]

@@ -31,6 +31,13 @@ def test_zero_time_is_copy():
     assert out is not a
 
 
+def test_zero_time_copy_keeps_the_memory_order():
+    # a components-slowest field, as the pipeline lays it out, stays so
+    a = np.moveaxis(np.arange(32.0).reshape(2, 2, 8), (0, 1), (1, 2))
+    out = integrate_matrix_ode(a, 0.0)
+    assert np.array_equal(out, a) and out.strides == a.strides
+
+
 def test_vector_fixed_points():
     # 0 and any unit vector are equilibria of w' = (1 - |w|^2) w
     z = integrate_vector_ode(np.zeros(3), 2.0)

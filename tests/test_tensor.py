@@ -1,4 +1,6 @@
+import inspect
 import math
+import os
 import re
 import warnings
 
@@ -8,8 +10,8 @@ import pytest
 from acsplit import grid as spectral
 from acsplit import matrix, tensor, vector
 from acsplit.grid import TorusGrid
-from acsplit.harness import RunConfig, run_experiment
-from acsplit.oracle import OracleConfig, integrate_matrix_ode
+from acsplit.harness import ConfigError, RunConfig, convergence_study, run_experiment, write_snapshot
+from acsplit.oracle import OracleConfig, integrate_matrix_ode, integrate_vector_ode
 
 SHAPES = [(1, 1), (3, 1), (2, 2), (3, 3), (4, 4)]
 TIMES = [0.01, 1.0, 10.0]
@@ -381,20 +383,74 @@ def test_kernels_refuse_entries_whose_squares_overflow(a):
 
 
 # ---------------------------------------------------------------------------
-# times: every function of a time or a step refuses NaN and infinities by name
+# times: every function of a time or a step refuses NaN and infinities by name,
+# with grid._check_time's one rule: a time is finite and >= 0, a step finite
+# and > 0 with a finite 1/tau
 
+
+def _star(grid):
+    return matrix.polar_ic(grid, "star")
+
+
+_STUDY = RunConfig(model="vector", d=1, n=8, m=2, ic="smooth")
+
+# name: (kind, call) for each public function with a tau, t or t_final
+# parameter, and the tensor functions behind them; name:parameter where a
+# function has two
 TIMED = {
-    "heat_propagate": lambda grid, u, t: spectral.heat_propagate(grid, u, t),
-    "dissipation_quadratic": lambda grid, u, t: spectral.dissipation_quadratic(
-        grid, spectral.half_spectrum(grid, u), t),
-    "g_scalar": lambda grid, u, t: tensor.g_scalar(u, t),
-    "nonlinear_propagate": lambda grid, u, t: tensor.nonlinear_propagate(u, t),
-    "strang_step": lambda grid, u, t: tensor.strang_step(grid, u, t, tensor.nonlinear_propagate),
-    "strang_evolve": lambda grid, u, t: tensor.strang_evolve(grid, u, t, 2, tensor.nonlinear_propagate),
-    "strang_evolve_vec": lambda grid, u, t: vector.strang_evolve_vec(grid, u[..., 0], t, 2),
-    "gradient": lambda grid, u, t: tensor.gradient(u, t),
-    "modified_energy": lambda grid, u, t: tensor.modified_energy(grid, u, t, tensor.potential),
+    "heat_propagate": ("time", lambda grid, u, t: spectral.heat_propagate(grid, u, t)),
+    "dissipation_quadratic": ("step", lambda grid, u, t: spectral.dissipation_quadratic(
+        grid, spectral.half_spectrum(grid, u), t)),
+    "g_scalar": ("step", lambda grid, u, t: tensor.g_scalar(u, t)),
+    "nonlinear_propagate": ("time", lambda grid, u, t: tensor.nonlinear_propagate(u, t)),
+    "strang_step": ("step", lambda grid, u, t: tensor.strang_step(
+        grid, u, t, tensor.nonlinear_propagate)),
+    "strang_evolve": ("step", lambda grid, u, t: tensor.strang_evolve(
+        grid, u, t, 2, tensor.nonlinear_propagate)),
+    "strang_evolve_vec": ("step", lambda grid, u, t: vector.strang_evolve_vec(grid, u[..., 0], t, 2)),
+    "gradient": ("step", lambda grid, u, t: tensor.gradient(u, t)),
+    "modified_energy": ("step", lambda grid, u, t: tensor.modified_energy(grid, u, t, tensor.potential)),
+    "nonlinear_propagate_vec": ("time", lambda grid, u, t: vector.nonlinear_propagate_vec(u[..., 0], t)),
+    "nonlinear_propagate_mat": ("time", lambda grid, u, t: matrix.nonlinear_propagate_mat(_star(grid), t)),
+    "integrate_vector_ode": ("time", lambda grid, u, t: integrate_vector_ode(u[..., 0], t)),
+    "integrate_matrix_ode": ("time", lambda grid, u, t: integrate_matrix_ode(_star(grid), t)),
+    "projection_split_step": ("time", lambda grid, u, t: matrix.projection_split_step(
+        grid, _star(grid), t)),
+    "convergence_study": ("time", lambda grid, u, t: convergence_study(_STUDY, [0.1, 0.05], t)),
+    "convergence_study:tau_ladder": ("step", lambda grid, u, t: convergence_study(
+        _STUDY, [t, t / 2], 0.4)),
+    "strang_step_vec": ("step", lambda grid, u, t: vector.strang_step_vec(grid, u[..., 0], t)),
+    "strang_step_mat": ("step", lambda grid, u, t: matrix.strang_step_mat(grid, _star(grid), t)),
+    "strang_evolve_mat": ("step", lambda grid, u, t: matrix.strang_evolve_mat(grid, _star(grid), t, 2)),
+    "g_potential_vec": ("step", lambda grid, u, t: vector.g_potential_vec(u[..., 0], t)),
+    "g_potential_mat": ("step", lambda grid, u, t: matrix.g_potential_mat(_star(grid), t)),
+    "g_gradient_vec": ("step", lambda grid, u, t: vector.g_gradient_vec(u[..., 0], t)),
+    "g_trace_derivative": ("step", lambda grid, u, t: matrix.g_trace_derivative(
+        _star(grid), _star(grid), t)),
+    "modified_energy_vec": ("step", lambda grid, u, t: vector.modified_energy_vec(grid, u[..., 0], t)),
+    "modified_energy_mat": ("step", lambda grid, u, t: matrix.modified_energy_mat(grid, _star(grid), t)),
+    "concavity_inequality_check_vec": ("step", lambda grid, u, t: vector.concavity_inequality_check_vec(
+        u[..., 0], u[..., 0], t)),
+    "taylor_inequality_check": ("step", lambda grid, u, t: matrix.taylor_inequality_check(
+        _star(grid), 0.0 * _star(grid), t)),
+    "threshold_check": ("step", lambda grid, u, t: matrix.threshold_check(t, 2)),
+    "RunConfig": ("step", lambda grid, u, t: RunConfig(model="vector", tau=t)),
+    "write_snapshot": ("step", lambda grid, u, t: write_snapshot(
+        os.devnull, u[..., 0], model="vector", grid=grid, m=2, tau=t, step=0)),
 }
+_RULE = {"time": ">= 0", "step": "> 0 with a finite 1/tau"}
+_NAMES = "tau|t|t_final|heat propagation time|tau_ladder entry"
+
+
+def test_every_public_function_of_a_time_is_in_the_table():
+    import acsplit
+
+    functions = {name: obj for name in acsplit.__all__ if callable(obj := getattr(acsplit, name))
+                 and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    timed = {name for name, obj in functions.items()
+             if {"tau", "t", "t_final"} & inspect.signature(obj).parameters.keys()}
+    # a report holds the times convergence_study judged and judges none itself
+    assert timed - {"ConvergenceReport"} <= {key.split(":")[0] for key in TIMED}
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -402,8 +458,27 @@ TIMED = {
 def test_nonfinite_times_are_refused_by_name(name, t):
     grid = TorusGrid(2, 8)
     u = tensor.smooth_random_ic(grid, (2, 1), 0.8, seed=3)
-    with pytest.raises(ValueError, match=r"^(tau|t|heat propagation time) must be finite and >=? 0, got (nan|-?inf)$"):
-        TIMED[name](grid, u, t)
+    kind, call = TIMED[name]
+    with pytest.raises(ValueError, match=rf"^({_NAMES}) must be finite and {_RULE[kind]}, got {t}$"):
+        call(grid, u, t)
+
+
+@pytest.mark.parametrize("t", [5e-324, np.float64(5e-324)], ids=["float", "float64"])
+@pytest.mark.parametrize("name", sorted(TIMED))
+def test_the_least_subnormal_is_a_time_but_not_a_step(name, t):
+    # 1/5e-324 is inf, and the modified energy divides by the step; an
+    # np.float64's reciprocal would warn of the overflow
+    grid = TorusGrid(2, 8)
+    u = tensor.smooth_random_ic(grid, (2, 1), 0.8, seed=3)
+    kind, call = TIMED[name]
+    if kind == "step":
+        with pytest.raises(ValueError, match=rf"^({_NAMES}) must be finite and {_RULE[kind]}, got 5e-324$"):
+            call(grid, u, t)
+    elif name == "convergence_study":  # admitted as a time, but no ladder step divides it
+        with pytest.raises(ConfigError, match=r"^t_final = 5e-324 is not an integer multiple of tau = 0.1$"):
+            call(grid, u, t)
+    else:
+        assert np.all(np.isfinite(call(grid, u, t)))
 
 
 # ---------------------------------------------------------------------------
