@@ -389,7 +389,9 @@ def write_snapshot(
     component/entry axes slowest-varying."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    _check_time(tau)  # the reader's rule, so that what is written can be read
+    _check_time(tau)  # the reader's rules, so that what is written can be read
+    if step < 0:
+        raise ValueError(f"step must be >= 0, got {step}")
     values = np.asarray(values, dtype=np.float64)
     expected = grid.shape + (m,) * MODELS[model].axes
     if values.shape != expected:
@@ -542,7 +544,8 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
 
     flow, sup_fn, e_std_fn, e_mod_fn = MODELS[cfg.model].lookup(
         "flow", "sup", "energy_standard", "energy_modified")
-    # one pipeline with strang_evolve_*; the monitors read each step's record
+    # one pipeline with strang_evolve_*; the monitors read each step's record,
+    # the sup norm and the standard energy sharing its Gram matrices
     states = tensor._strang_states(grid, u, cfg.tau, flow)
     del u
 
@@ -554,7 +557,7 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
     for n in range(cfg.steps + 1):
         state = next(states)
         sup, e_std, e_mod = _finite_values(n, state.field, grid, {
-            "sup_norm": lambda: sup_fn(state.field),
+            "sup_norm": lambda: sup_fn(state),
             "energy_standard": lambda: e_std_fn(grid, state),
             "energy_modified": lambda: e_mod_fn(grid, state, cfg.tau),
         })

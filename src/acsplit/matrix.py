@@ -60,7 +60,8 @@ def _tr_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def nonlinear_propagate_mat(a: np.ndarray, t: float) -> np.ndarray:
-    """Exact flow of U' = U - U U^T U; see tensor.nonlinear_propagate."""
+    """Exact flow of U' = U - U U^T U, of matrices or a tensor.StepRecord's U~;
+    see tensor.nonlinear_propagate."""
     return tensor.nonlinear_propagate(a, t)
 
 
@@ -77,7 +78,8 @@ def strang_evolve_mat(
 
 
 def g_potential_mat(a: np.ndarray, tau: float) -> np.ndarray:
-    """Trace potential sum_i G(sigma_i(A)^2); see tensor.potential."""
+    """Trace potential sum_i G(sigma_i(A)^2), of matrices or a tensor.StepRecord's
+    U~; see tensor.potential."""
     return tensor.potential(a, tau)
 
 
@@ -106,7 +108,8 @@ def standard_energy_mat(grid: TorusGrid, u: np.ndarray) -> float:
 
 
 def sup_frobenius(u: np.ndarray) -> float:
-    """Max over nodes of the pointwise Frobenius norm ||U(x)||_F."""
+    """Max over nodes of the pointwise Frobenius norm ||U(x)||_F, of a field or
+    a tensor.StepRecord."""
     return tensor.sup_norm(u)
 
 

@@ -8,6 +8,8 @@ through the Gram matrix).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,11 @@ class OracleConfig:
             raise ValueError("substeps_per_unit_time must be >= 1")
 
     def substeps(self, t: float) -> int:
-        return max(1, int(np.ceil(self.substeps_per_unit_time * t)))
+        count = self.substeps_per_unit_time * t
+        if not count <= sys.maxsize:  # also where the product is inf or NaN
+            raise ValueError(f"t = {t} takes {count:.0f} RK4 substeps of "
+                             f"1/{self.substeps_per_unit_time}: too many")
+        return max(1, math.ceil(count))
 
 
 def _rk4(y0: np.ndarray, t: float, nsub: int, rhs) -> np.ndarray:

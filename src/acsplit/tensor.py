@@ -63,7 +63,12 @@ def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
 def _flow_factor(lam: np.ndarray, t: float) -> np.ndarray:
     """e^t / sqrt(expm1(2t) lam + 1), the flow's factor on a squared singular
     value, as 1 / sqrt(-expm1(-2t) lam + e^{-2t}) so that nothing overflows."""
-    return 1.0 / np.sqrt(-math.expm1(-2.0 * t) * lam + max(math.exp(-2.0 * t), _TINY))
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.ndim == 0:  # out= needs arrays, as in g_scalar
+        return _flow_factor(lam[None], t)[0]
+    w = np.multiply(lam, -math.expm1(-2.0 * t))  # in one buffer
+    w = np.sqrt(np.add(w, max(math.exp(-2.0 * t), _TINY), out=w), out=w)
+    return np.divide(1.0, w, out=w)
 
 
 def _checked(a) -> np.ndarray:
@@ -89,11 +94,31 @@ def _column_norms_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", a, a)
 
 
-def _gram_function(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """A fn(A^T A), with the scalar function fn acting on the Gram eigenvalues."""
+def _field_gram(a: np.ndarray) -> np.ndarray:
+    """A^T A of every m x q matrix of a field, in the field's memory order."""
+    return np.einsum("...ki,...kj->...ij", a, a)
+
+
+def _kernel_gram(a: np.ndarray) -> np.ndarray:
+    """What the flow and the potential read of A^T A: the squared column norm
+    (shape ... x 1) for q = 1, else A^T A.  The 2 x 2 closed forms read none:
+    they take the singular values (_singular_values)."""
+    return _column_norms_sq(a) if a.shape[-1] == 1 else _gram(a)
+
+
+def _gram_function(
+    a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], gram: np.ndarray | None = None
+) -> np.ndarray:
+    """A fn(A^T A), with the scalar function fn acting on the Gram eigenvalues;
+    `gram` is _kernel_gram(a), made here if not given, which the call consumes."""
+    if gram is None:
+        gram = _kernel_gram(a)
     if a.shape[-1] == 1:  # the 1 x 1 Gram matrix is its own eigenvalue
-        return a * fn(_column_norms_sq(a)[..., None, :])
-    v = np.linalg.eigh(_gram(a)).eigenvectors
+        factor = fn(gram[..., None, :])
+        del gram  # before the product is made
+        return a * factor
+    v = np.linalg.eigh(gram).eigenvectors
+    del gram  # before A V is made
     av = a @ v
     # the eigenvalues as squared column norms of A V: nonnegative, and accurate
     # relative to each sigma_i rather than only to the largest, which keeps
@@ -155,16 +180,20 @@ def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def nonlinear_propagate(a: np.ndarray, t: float) -> np.ndarray:
-    """S_N(t) A on the trailing m x q axes.  It keeps the right singular
-    vectors (hence the rank) and fixes matrices with orthonormal columns."""
+def nonlinear_propagate(a, t: float) -> np.ndarray:
+    """S_N(t) A on the trailing m x q axes, or on a StepRecord's u~_n as m x q
+    matrices (its Gram, if made, the flow consumes).  It keeps the right
+    singular vectors (hence the rank) and fixes matrices with orthonormal columns."""
     spectral._check_time(t, "t", zero_ok=True)
-    a = _checked(a)
+    state = a if isinstance(a, StepRecord) else None
+    a = _checked(a) if state is None else state.u_tilde_matrices
     if t == 0:
         return a.copy(order="K")  # skip the eigendecomposition's last-ulp noise
     if a.shape[-2:] == (2, 2):  # one matrix as a batch of one, as in g_scalar
         return _flow_2x2(a[None], t)[0] if a.ndim == 2 else _flow_2x2(a, t)
-    return _gram_function(a, lambda lam: _flow_factor(lam, t))
+    # handed straight on, so that _gram_function holds the only reference
+    return _gram_function(a, lambda lam: _flow_factor(lam, t),
+                          None if state is None else state._take("u_tilde_gram"))
 
 
 def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> np.ndarray:
@@ -178,18 +207,21 @@ def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> n
 class StepRecord:
     """A state u_n of a splitting run with step tau, as the run holds it: the
     field, its half spectrum (grid.half_spectrum) and u~_n = S_L(tau/2) u_n,
-    where the modified energy lives.  Each is made from what is known on
-    first use and then kept, except that u~_n made once the field is known
-    is made on the spectrum's buffer and consumes it: a later read makes the
-    spectrum again from the field.  A given field is never written.  The
-    spectrum has its component axes slowest in memory (grid's Memory order),
-    and so have u~_n and a field made from it; a given field keeps its own
-    order.  The energy functions take a record or a field; a field is first
-    turned into a record."""
+    where the modified energy lives, and two pointwise passes: the field's
+    Gram matrices A^T A (gram), and u~_n as m x q matrices, refused once by
+    _checked, with the Gram the kernels read of them (_kernel_gram).  Each is
+    made from what is known on first use and then kept, except that u~_n made
+    once the field is known is made on the spectrum's buffer and consumes it,
+    the standard energy consumes gram and the flow u~_n's Gram: a later read
+    makes them again.  A given field is never written.  The spectrum has its
+    component axes slowest in memory (grid's Memory order), and so have u~_n
+    and a field made from it; a given field keeps its own order.  The energy,
+    sup norm and flow functions take a record or a field; a field is first
+    turned into a record.  A record without a grid holds m x q matrices."""
 
-    def __init__(self, grid: TorusGrid, tau: float | None, **known):
+    def __init__(self, grid: TorusGrid | None, tau: float | None, **known):
         self.grid, self.tau = grid, tau
-        self.__dict__.update(known)  # field or spectrum, and a shared half_heat
+        self.__dict__.update(known)  # field, spectrum or u_tilde, and a shared half_heat
 
     @cached_property
     def half_heat(self) -> np.ndarray:
@@ -214,11 +246,42 @@ class StepRecord:
         """[dirichlet_energy, dissipation_quadratic at tau] of the spectrum, in one pass."""
         return spectral._spectral_sums(self.grid, self.spectrum, *spectral._form_symbols(self.tau))
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The field's Gram matrices A^T A, which sup_norm reads and standard_energy consumes."""
+        return _field_gram(_matrices(self.grid, self.field))
+
+    @cached_property
+    def u_tilde_matrices(self) -> np.ndarray:
+        """u~_n as m x q matrices (a view), refused as _checked refuses."""
+        return _checked(_matrices(self.grid, self.u_tilde))
+
+    @cached_property
+    def u_tilde_gram(self) -> np.ndarray:
+        """_kernel_gram of u~_n, which the potential reads and the flow consumes."""
+        return _kernel_gram(self.u_tilde_matrices)
+
+    def _take(self, name: str):
+        """The member `name`, made if it is not known, which the record then drops."""
+        value = getattr(self, name)
+        del self.__dict__[name]
+        return value
+
     def _consume_spectrum(self) -> np.ndarray:
         """u~_n made on the spectrum's buffer, which the record then drops."""
-        half, spectrum = self.half_heat, self.spectrum
-        del self.spectrum
-        return spectral._half_inverse_in_place(self.grid, spectrum, half)
+        half = self.half_heat
+        return spectral._half_inverse_in_place(self.grid, self._take("spectrum"), half)
+
+    def _flow_input(self):
+        """What a flow reads of this state: u~_n alone, as a record that keeps
+        the checked matrices and the Gram a monitor made of it, or as the array
+        where none did (a bare step, to which a record would add only call
+        overhead).  u~_n not made yet is made on the spectrum's buffer."""
+        u_tilde = self.u_tilde if "u_tilde" in vars(self) else self._consume_spectrum()
+        if "u_tilde_matrices" not in vars(self):
+            return u_tilde
+        known = {k: v for k, v in vars(self).items() if k in ("u_tilde_matrices", "u_tilde_gram")}
+        return StepRecord(self.grid, self.tau, u_tilde=u_tilde, **known)
 
 
 def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
@@ -228,8 +291,10 @@ def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
     inverse transforms of e^{-tau|k|^2/2} h and e^{-tau|k|^2} h, made when a
     consumer or the next step first asks for them: 3 transforms per
     monitored step, 2 per bare one.  Between steps the generator holds only
-    the current record, and during a step only u~_n; the consumer should
-    not keep a record past the next step.
+    the current record, and during a step only u~_n, which the flow is handed
+    as a record when the monitors made its checked matrices and Gram
+    (StepRecord._flow_input); the consumer should not keep a record past the
+    next step.
 
     Memory order: u is kept as given, never copied.  Every half_spectrum has
     the component axes slowest in memory, and the inverse transforms, products
@@ -240,8 +305,8 @@ def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
     half = state.half_heat
     while True:
         yield state
-        w = state.u_tilde if "u_tilde" in vars(state) else state._consume_spectrum()
-        state = None
+        w = state._flow_input()
+        state = None  # drops the field and the spectrum
         w = flow(w, tau)  # drops u~_n
         w = spectral.half_spectrum(grid, w)  # drops S_N(tau) u~_n
         w *= half
@@ -264,11 +329,13 @@ def strang_evolve(
     return next(itertools.islice(states, steps, None)).field
 
 
-def potential(a: np.ndarray, tau: float) -> np.ndarray:
+def potential(a, tau: float) -> np.ndarray:
     """Trace potential sum_i G(lambda_i) over the eigenvalues of A^T A: the trace of
-    (1/(2 tau)) A A^T - (e^tau/(tau c)) ((I + c A A^T)^{1/2} - I), c = e^{2 tau} - 1.
+    (1/(2 tau)) A A^T - (e^tau/(tau c)) ((I + c A A^T)^{1/2} - I), c = e^{2 tau} - 1,
+    on the trailing m x q axes or on a StepRecord's u~_n (whose Gram it reads).
     It is invariant under A -> Q A R for orthogonal Q, R."""
-    a = _checked(a)
+    state = a if isinstance(a, StepRecord) else None
+    a = _checked(a) if state is None else state.u_tilde_matrices
     if a.shape[-2:] == (2, 2):
         if a.ndim == 2:
             return potential(a[None], tau)[0]
@@ -276,10 +343,9 @@ def potential(a: np.ndarray, tau: float) -> np.ndarray:
         pot = 0 + g_scalar(np.multiply(s1, s1, out=s1), tau)  # 0 + G(0) is 0.0, G(0) is -0.0
         del s1
         return np.add(pot, g_scalar(np.multiply(s2, s2, out=s2), tau), out=pot)
-    if a.shape[-1] == 1:
-        lam = _column_norms_sq(a)
-    else:  # clipped at 0: round-off can make the smallest slightly negative
-        lam = np.maximum(np.linalg.eigvalsh(_gram(a)), 0.0)
+    gram = _kernel_gram(a) if state is None else state.u_tilde_gram
+    # for q > 1 its eigenvalues, clipped at 0: round-off can make the smallest slightly negative
+    lam = gram if a.shape[-1] == 1 else np.maximum(np.linalg.eigvalsh(gram), 0.0)
     return np.sum(g_scalar(lam, tau), axis=-1)
 
 
@@ -299,7 +365,7 @@ def _inequality_slack(u0: np.ndarray, h: np.ndarray, tau: float, w: float) -> fl
     return float(np.min(rhs - lhs, initial=np.inf))
 
 
-def _record(grid: TorusGrid, a, tau: float | None = None) -> StepRecord:
+def _record(grid: TorusGrid | None, a, tau: float | None = None) -> StepRecord:
     """`a` if it is a StepRecord (of a run with step tau), else the record of the field `a`."""
     if not isinstance(a, StepRecord):
         return StepRecord(grid, tau, field=np.asarray(a, dtype=np.float64))
@@ -308,15 +374,16 @@ def _record(grid: TorusGrid, a, tau: float | None = None) -> StepRecord:
     return a
 
 
-def _matrices(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
-    """The field's values as m x q matrices; one component axis reads as m x 1."""
-    return a.reshape(a.shape[: grid.d + 1] + (-1,))
+def _matrices(grid: TorusGrid | None, a: np.ndarray) -> np.ndarray:
+    """The field's values as m x q matrices; one component axis reads as m x 1.
+    Without a grid, `a` holds m x q matrices already."""
+    return a if grid is None else a.reshape(a.shape[: grid.d + 1] + (-1,))
 
 
 def modified_energy(grid: TorusGrid, a, tau: float, potential_fn: Callable) -> float:
     """Modified energy, nonincreasing along the splitting, at A~ = S_L(tau/2) A
     for the PRE-half-step field A (or its StepRecord), with potential_fn the
-    model's trace potential:
+    model's trace potential, which is handed the record (read at A~):
 
         int (1/(2 tau)) <(e^{-tau Lap} - 1) A~, A~> + potential_fn(A~) dx + (q/4) (2 pi)^d.
 
@@ -327,30 +394,28 @@ def modified_energy(grid: TorusGrid, a, tau: float, potential_fn: Callable) -> f
     spectral._check_time(tau)
     state = _record(grid, a, tau)
     quad = state.quadratic_forms[1] / (2.0 * tau)
-    a_tilde = _matrices(grid, state.u_tilde)
-    pot = grid.cell_volume * float(np.sum(potential_fn(a_tilde, tau)))
-    return quad + pot + 0.25 * a_tilde.shape[-1] * grid.volume
+    pot = grid.cell_volume * float(np.sum(potential_fn(state, tau)))
+    return quad + pot + 0.25 * state.u_tilde_matrices.shape[-1] * grid.volume
 
 
 def standard_energy(grid: TorusGrid, a) -> float:
     """Standard energy int (1/2)||grad A||_F^2 + (1/4)||A^T A - I||_F^2 dx, of a
-    field or a StepRecord, from the Gram matrix for every shape."""
+    field or a StepRecord, from the record's Gram matrices for every shape, which
+    it turns into A^T A - I and then its squares in place."""
     state = _record(grid, a)
-    a = _matrices(grid, state.field)
-    dev = np.einsum("...ki,...kj->...ij", a, a) - np.eye(a.shape[-1])
-    pot = 0.25 * grid.cell_volume * float(np.sum(dev * dev))
-    del dev  # the Gram buffers go before the spectral pass; a plain field has no pair
+    dev = state._take("gram")
+    dev -= np.eye(dev.shape[-1])
+    pot = 0.25 * grid.cell_volume * float(np.sum(np.multiply(dev, dev, out=dev)))
+    del dev  # the Gram buffer goes before the spectral pass; a plain field has no pair
     quad = state.quadratic_forms if state.tau else [spectral.dirichlet_energy(grid, state.spectrum)]
     return quad[0] + pot
 
 
-def sup_norm(a: np.ndarray) -> float:
-    """Max over nodes of the pointwise Frobenius norm ||A(x)||_F."""
-    a = np.asarray(a)  # squares added plane by plane, as np.sum adds a pipeline field's
-    total, square = np.zeros(a.shape[:-2]), np.empty(a.shape[:-2])
-    for i, j in itertools.product(*map(range, a.shape[-2:])):
-        total += np.multiply(a[..., i, j], a[..., i, j], out=square)
-    return float(np.sqrt(np.max(total)))
+def sup_norm(a) -> float:
+    """Max over nodes of the pointwise Frobenius norm ||A(x)||_F of m x q
+    matrices or of a StepRecord's field: the root of the largest trace of the
+    record's Gram matrices, which the record keeps for standard_energy."""
+    return float(np.sqrt(np.max(np.trace(_record(None, a).gram, axis1=-2, axis2=-1))))
 
 
 def smooth_random_ic(
@@ -369,7 +434,7 @@ def smooth_random_ic(
     rng = np.random.Generator(np.random.Philox(seed))
     coeffs = spectral.half_spectrum(grid, rng.standard_normal(grid.shape + tuple(shape)))
     u = spectral.half_inverse(grid, coeffs, grid.band_mask(kcut, coeffs.ndim))
-    sup = sup_norm(u.reshape(grid.shape + (shape[0], -1)))
+    sup = sup_norm(_record(grid, u))
     if sup == 0:
         return u
     return u * (sup_target / sup)

@@ -3,8 +3,8 @@
 A vector field, shape grid.shape + (m,), is the tensorial model of
 acsplit.tensor on m x 1 matrices: for U = u, U U^T U = |u|^2 u and the Gram
 matrix U^T U is |u|^2.  The functions here pass u[..., None] to acsplit.tensor
-and drop the axis on return; the energies read one component axis as m x 1
-themselves.  The pointwise flow is
+and drop the axis on return; a tensor.StepRecord they pass as it is, since a
+record reads one component axis as m x 1 itself.  The pointwise flow is
 
     S_N(t) w = e^t w / sqrt((e^{2t} - 1) |w|^2 + 1),
 
@@ -36,10 +36,15 @@ __all__ = [
 ]
 
 
+def _columns(w):
+    """The vectors `w` as m x 1 matrices, or the tensor.StepRecord `w` as it is."""
+    return w if isinstance(w, tensor.StepRecord) else np.asarray(w)[..., None]
+
+
 def nonlinear_propagate_vec(w: np.ndarray, t: float) -> np.ndarray:
-    """Exact flow of u' = (1 - |u|^2) u on the last axis of `w`; it preserves
-    direction and fixes the unit sphere."""
-    return tensor.nonlinear_propagate(np.asarray(w)[..., None], t)[..., 0]
+    """Exact flow of u' = (1 - |u|^2) u on the last axis of `w`, or on a
+    tensor.StepRecord's u~; it preserves direction and fixes the unit sphere."""
+    return tensor.nonlinear_propagate(_columns(w), t)[..., 0]
 
 
 def strang_step_vec(grid: TorusGrid, u: np.ndarray, tau: float) -> np.ndarray:
@@ -55,8 +60,9 @@ def strang_evolve_vec(
 
 
 def g_potential_vec(w: np.ndarray, tau: float) -> np.ndarray:
-    """Potential G(|w|^2) at a vector (or field of vectors)."""
-    return tensor.potential(np.asarray(w)[..., None], tau)
+    """Potential G(|w|^2) at a vector (or field of vectors, or a
+    tensor.StepRecord's u~)."""
+    return tensor.potential(_columns(w), tau)
 
 
 def g_gradient_vec(w: np.ndarray, tau: float) -> np.ndarray:
@@ -78,8 +84,9 @@ def standard_energy_vec(grid: TorusGrid, u: np.ndarray) -> float:
 
 
 def sup_magnitude(u: np.ndarray) -> float:
-    """Max over nodes of the pointwise euclidean magnitude |u(x)|."""
-    return tensor.sup_norm(np.asarray(u)[..., None])
+    """Max over nodes of the pointwise euclidean magnitude |u(x)|, of a field
+    or a tensor.StepRecord."""
+    return tensor.sup_norm(_columns(u))
 
 
 def concavity_inequality_check_vec(u: np.ndarray, v: np.ndarray, tau: float) -> bool:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,16 @@ def test_substep_count_scales_with_time():
     assert cfg.substeps(1.0) == 1000
     assert cfg.substeps(0.25) == 250
     assert cfg.substeps(1e-9) == 1  # never zero
+
+
+@pytest.mark.parametrize("t, count", [(1e305, "inf"), (1e16, "20000000000000000000")])
+def test_a_horizon_of_too_many_substeps_is_refused(t, count):
+    # a count above sys.maxsize (or one that overflows to inf) is refused by
+    # name, through both integrators, before any substep runs
+    for integrate, a in ((integrate_matrix_ode, np.eye(2)), (integrate_vector_ode, np.ones(3))):
+        message = f"t = {t} takes {count} RK4 substeps of 1/2000: too many"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integrate(a, t)
 
 
 def test_negative_time_rejected():

@@ -563,6 +563,39 @@ def test_evolve_matches_iterated_steps_in_any_memory_order(grid, shape, order):
     assert np.max(np.abs(tensor.strang_evolve(grid, u, tau, 4, flow) - want)) <= 1e-13
 
 
+@pytest.mark.parametrize("shape", LAYOUT_SHAPES, ids=str)
+def test_flow_and_potential_of_a_record_are_those_of_its_u_tilde(shape):
+    # bitwise, whether u~'s Gram was made by the potential (as a monitored step
+    # makes it) or is made by the flow (as a bare step does), and at t = 0
+    grid, tau = TorusGrid(2, 16), 0.05
+    flow, potential = ((vector.nonlinear_propagate_vec, vector.g_potential_vec) if len(shape) == 1
+                       else (tensor.nonlinear_propagate, tensor.potential))
+    u = tensor.smooth_random_ic(grid, shape, 0.9, seed=13)
+    for monitored in (False, True):
+        record = tensor.StepRecord(grid, tau, field=u)
+        w = record.u_tilde
+        if monitored:
+            assert np.array_equal(potential(record, tau), potential(w, tau))
+        assert np.array_equal(flow(record, tau), flow(w, tau))
+        assert np.array_equal(flow(record, 0.0), flow(w, 0.0))
+        assert np.array_equal(flow(record, tau), flow(w, tau))  # its Gram made again
+
+
+@pytest.mark.parametrize("shape", LAYOUT_SHAPES, ids=str)
+def test_sup_norm_of_a_record_is_that_of_its_field(shape):
+    grid = TorusGrid(2, 16)
+    sup = vector.sup_magnitude if len(shape) == 1 else tensor.sup_norm
+    u = tensor.smooth_random_ic(grid, shape, 0.9, seed=14)
+    record = tensor.StepRecord(grid, 0.05, field=u)
+    assert sup(record) == sup(record.field)
+    squares = np.sum(u.reshape(grid.shape + (-1,)) ** 2, axis=-1)
+    assert sup(record) == pytest.approx(math.sqrt(np.max(squares)), rel=4 * EPS, abs=0.0)
+    # the standard energy consumes the Gram the sup norm made, and gives what it
+    # gives on a record of its own
+    assert tensor.standard_energy(grid, record) == tensor.standard_energy(grid, u)
+    assert "gram" not in vars(record)
+
+
 def test_bare_evolve_peak_memory_in_field_sizes(peak_field_sizes):
     # the bare pipeline never copies the caller's field: on a warm 64^2 x 2
     # grid it peaks at 3.80 field sizes (spectra, u~, flow temporaries); a
