@@ -63,12 +63,7 @@ def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
 def _flow_factor(lam: np.ndarray, t: float) -> np.ndarray:
     """e^t / sqrt(expm1(2t) lam + 1), the flow's factor on a squared singular
     value, as 1 / sqrt(-expm1(-2t) lam + e^{-2t}) so that nothing overflows."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.ndim == 0:  # out= needs arrays, as in g_scalar
-        return _flow_factor(lam[None], t)[0]
-    w = np.multiply(lam, -math.expm1(-2.0 * t))  # in one buffer
-    w = np.sqrt(np.add(w, max(math.exp(-2.0 * t), _TINY), out=w), out=w)
-    return np.divide(1.0, w, out=w)
+    return 1.0 / np.sqrt(-math.expm1(-2.0 * t) * lam + max(math.exp(-2.0 * t), _TINY))
 
 
 def _checked(a) -> np.ndarray:
@@ -95,7 +90,9 @@ def _column_norms_sq(a: np.ndarray) -> np.ndarray:
 
 
 def _field_gram(a: np.ndarray) -> np.ndarray:
-    """A^T A of every m x q matrix of a field, in the field's memory order."""
+    """A^T A of every m x q matrix of a field, in the field's memory order.
+    Not _gram: the standard potential has always summed this einsum's entries,
+    and a matmul Gram differs from it in the last bits."""
     return np.einsum("...ki,...kj->...ij", a, a)
 
 
@@ -216,10 +213,10 @@ class StepRecord:
     makes them again.  A given field is never written.  The spectrum has its
     component axes slowest in memory (grid's Memory order), and so have u~_n
     and a field made from it; a given field keeps its own order.  The energy,
-    sup norm and flow functions take a record or a field; a field is first
-    turned into a record.  A record without a grid holds m x q matrices."""
+    potential, sup norm and flow functions take a record or a field; the
+    energies first turn a field into a record."""
 
-    def __init__(self, grid: TorusGrid | None, tau: float | None, **known):
+    def __init__(self, grid: TorusGrid, tau: float | None, **known):
         self.grid, self.tau = grid, tau
         self.__dict__.update(known)  # field, spectrum or u_tilde, and a shared half_heat
 
@@ -365,7 +362,7 @@ def _inequality_slack(u0: np.ndarray, h: np.ndarray, tau: float, w: float) -> fl
     return float(np.min(rhs - lhs, initial=np.inf))
 
 
-def _record(grid: TorusGrid | None, a, tau: float | None = None) -> StepRecord:
+def _record(grid: TorusGrid, a, tau: float | None = None) -> StepRecord:
     """`a` if it is a StepRecord (of a run with step tau), else the record of the field `a`."""
     if not isinstance(a, StepRecord):
         return StepRecord(grid, tau, field=np.asarray(a, dtype=np.float64))
@@ -374,10 +371,9 @@ def _record(grid: TorusGrid | None, a, tau: float | None = None) -> StepRecord:
     return a
 
 
-def _matrices(grid: TorusGrid | None, a: np.ndarray) -> np.ndarray:
-    """The field's values as m x q matrices; one component axis reads as m x 1.
-    Without a grid, `a` holds m x q matrices already."""
-    return a if grid is None else a.reshape(a.shape[: grid.d + 1] + (-1,))
+def _matrices(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
+    """The field's values as m x q matrices; one component axis reads as m x 1."""
+    return a.reshape(a.shape[: grid.d + 1] + (-1,))
 
 
 def modified_energy(grid: TorusGrid, a, tau: float, potential_fn: Callable) -> float:
@@ -413,9 +409,15 @@ def standard_energy(grid: TorusGrid, a) -> float:
 
 def sup_norm(a) -> float:
     """Max over nodes of the pointwise Frobenius norm ||A(x)||_F of m x q
-    matrices or of a StepRecord's field: the root of the largest trace of the
-    record's Gram matrices, which the record keeps for standard_energy."""
-    return float(np.sqrt(np.max(np.trace(_record(None, a).gram, axis1=-2, axis2=-1))))
+    matrices, or of a StepRecord's field: there the root of the largest trace
+    of the record's Gram matrices, which the record keeps for standard_energy."""
+    if isinstance(a, StepRecord):
+        return float(np.sqrt(np.max(np.trace(a.gram, axis1=-2, axis2=-1))))
+    a = np.asarray(a)  # squares added plane by plane, as np.sum adds a pipeline field's
+    total, square = np.zeros(a.shape[:-2]), np.empty(a.shape[:-2])
+    for i, j in itertools.product(*map(range, a.shape[-2:])):
+        total += np.multiply(a[..., i, j], a[..., i, j], out=square)
+    return float(np.sqrt(np.max(total)))
 
 
 def smooth_random_ic(
@@ -434,7 +436,7 @@ def smooth_random_ic(
     rng = np.random.Generator(np.random.Philox(seed))
     coeffs = spectral.half_spectrum(grid, rng.standard_normal(grid.shape + tuple(shape)))
     u = spectral.half_inverse(grid, coeffs, grid.band_mask(kcut, coeffs.ndim))
-    sup = sup_norm(_record(grid, u))
+    sup = sup_norm(u.reshape(grid.shape + (shape[0], -1)))
     if sup == 0:
         return u
     return u * (sup_target / sup)

@@ -587,7 +587,12 @@ def test_sup_norm_of_a_record_is_that_of_its_field(shape):
     sup = vector.sup_magnitude if len(shape) == 1 else tensor.sup_norm
     u = tensor.smooth_random_ic(grid, shape, 0.9, seed=14)
     record = tensor.StepRecord(grid, 0.05, field=u)
-    assert sup(record) == sup(record.field)
+    # a record's sup norm sums each Gram diagonal, a field's adds its squares
+    # plane by plane: the same for one column, within 1 ulp for matrices
+    if len(shape) == 1 or shape[-1] == 1:
+        assert sup(record) == sup(record.field)
+    else:
+        assert abs(sup(record) - sup(record.field)) <= np.spacing(sup(record.field))
     squares = np.sum(u.reshape(grid.shape + (-1,)) ** 2, axis=-1)
     assert sup(record) == pytest.approx(math.sqrt(np.max(squares)), rel=4 * EPS, abs=0.0)
     # the standard energy consumes the Gram the sup norm made, and gives what it
