@@ -266,8 +266,9 @@ class StepRecord:
 
     def _consume_spectrum(self) -> np.ndarray:
         """u~_n made on the spectrum's buffer, which the record then drops."""
-        half = self.half_heat
-        return spectral._half_inverse_in_place(self.grid, self._take("spectrum"), half)
+        half, spectrum = self.half_heat, self.spectrum
+        del self.spectrum
+        return spectral._half_inverse_in_place(self.grid, spectrum, half)
 
     def _flow_input(self):
         """What a flow reads of this state: u~_n alone, as a record that keeps
