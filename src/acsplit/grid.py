@@ -20,10 +20,12 @@ Memory order: half_spectrum lays its result out with the trailing axes
 slowest in memory under the same spatial-first shape, so that every transform
 runs over contiguous planes.  The inverse transform, ufuncs, empty_like and
 einsum keep the order of their input, so a field made from such a spectrum
-has it too; this is also the snapshot files' order.  half_inverse makes one
-buffer (a copy of the spectrum in its order, or the product with the
-multiplier) and runs every complex pass in place on it; at d = 1 there is no
-complex pass, and a bare spectrum goes to the real pass uncopied.
+has it too; this is also the snapshot files' order.  half_inverse makes the
+field one row of the first component axis at a time, in one work buffer of a
+row (a copy of the spectrum's row) on which the multiplier and every complex
+pass act in place, and each row's real pass writes that row of the field; at
+d = 1 there is no complex pass, and a bare spectrum goes to the real pass
+uncopied.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ class TorusGrid:
     @cached_property
     def _wr(self) -> np.ndarray:
         # a half-lattice mode stands for itself and its conjugate -k, except on
-        # the planes k_last = 0 and n/2, which hold both already
-        wr = np.full(self._k2r.shape, 2.0)
-        wr[..., [0, -1]] = 1.0
+        # the planes k_last = 0 and n/2, which hold both already: one weight
+        # per k_last, broadcast over the other axes
+        wr = np.full(self.n // 2 + 1, 2.0)
+        wr[[0, -1]] = 1.0
         return wr
 
     @cached_property
@@ -172,14 +175,18 @@ def inverse_transform(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return values.real
 
 
+def _components_slowest(spatial: tuple[int, ...], trailing: tuple[int, ...], dtype) -> np.ndarray:
+    """An empty array of shape spatial + trailing, the trailing axes slowest in memory."""
+    k, d = len(trailing), len(spatial)
+    return np.empty(trailing + spatial, dtype).transpose(tuple(range(k, k + d)) + tuple(range(k)))
+
+
 def half_spectrum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Unnormalized DFT sums of a real field on the half lattice k_last in
     0..n/2 (numpy's rfftn over the spatial axes); the other half is their
     complex conjugate.  The trailing axes are slowest in memory (see Memory order)."""
     values = _check_field(grid, values)
-    k = values.ndim - grid.d
-    planes = np.empty(values.shape[grid.d:] + grid._k2r.shape, dtype=np.complex128)
-    out = planes.transpose(tuple(range(k, k + grid.d)) + tuple(range(k)))
+    out = _components_slowest(grid._k2r.shape, values.shape[grid.d:], np.complex128)
     return np.fft.rfftn(values, axes=grid.spatial_axes, out=out)
 
 
@@ -187,19 +194,35 @@ def half_inverse(
     grid: TorusGrid, spectrum: np.ndarray, multiplier: np.ndarray | None = None
 ) -> np.ndarray:
     """The real field whose half_spectrum is `spectrum`, or `spectrum * multiplier`;
-    `spectrum` is never written."""
-    if multiplier is not None or grid.d > 1:  # at d = 1 no complex pass writes a buffer
-        spectrum = spectrum.copy(order="K") if multiplier is None else spectrum * multiplier
-    return _half_inverse_in_place(grid, spectrum)
+    `spectrum` is never written.  Made one row of the first component axis at a
+    time (see Memory order), each line transform as irfftn makes it."""
+    d = grid.d
+    field = _components_slowest(grid.shape, spectrum.shape[d:], np.float64)
+    if multiplier is not None:  # a view: each row reads its own part
+        multiplier = np.broadcast_to(multiplier, spectrum.shape)
+    work = None
+    for row in [(slice(None),) * d + i for i in np.ndindex(spectrum.shape[d:d + 1])]:
+        line = spectrum[row]
+        if multiplier is not None or d > 1:  # else nothing writes the row: it goes uncopied
+            if work is None:
+                work = np.empty_like(line)
+            np.copyto(work, line)
+            line = work
+        _half_inverse_in_place(grid, line, None if multiplier is None else multiplier[row],
+                               out=field[row])
+    return field
 
 
-def _half_inverse_in_place(grid: TorusGrid, spectrum: np.ndarray, multiplier=None) -> np.ndarray:
-    """half_inverse(grid, spectrum, multiplier), made on `spectrum`'s buffer, overwriting it."""
+def _half_inverse_in_place(
+    grid: TorusGrid, spectrum: np.ndarray, multiplier=None, out=None
+) -> np.ndarray:
+    """half_inverse(grid, spectrum, multiplier), made on `spectrum`'s buffer,
+    overwriting it, and written into `out` if given."""
     if multiplier is not None:
         spectrum *= multiplier
     for ax in grid.spatial_axes[:-1]:  # irfftn's complex passes, in place
         spectrum = np.fft.ifft(spectrum, axis=ax, out=spectrum)
-    return np.fft.irfft(spectrum, n=grid.n, axis=grid.d - 1)
+    return np.fft.irfft(spectrum, n=grid.n, axis=grid.d - 1, out=out)
 
 
 def _check_time(t: float, name: str = "tau", zero_ok: bool = False, error=ValueError) -> None:
@@ -243,9 +266,15 @@ def _spectral_sums(grid: TorusGrid, coeffs: np.ndarray, *symbols) -> list[float]
 
 
 def _form_symbols(tau: float) -> tuple:
-    """The symbols of dirichlet_energy and of dissipation_quadratic at tau."""
+    """The symbols of dirichlet_energy and of dissipation_quadratic at tau, each
+    made in one buffer."""
     _check_time(tau)
-    return (lambda k2: 0.5 * k2), (lambda k2: -np.expm1(-tau * k2))
+
+    def dissipation(k2: np.ndarray) -> np.ndarray:  # -expm1(-tau |k|^2)
+        w = np.multiply(k2, -tau)
+        return np.negative(np.expm1(w, out=w), out=w)
+
+    return (lambda k2: 0.5 * k2), dissipation
 
 
 def dissipation_quadratic(grid: TorusGrid, coeffs: np.ndarray, tau: float) -> float:

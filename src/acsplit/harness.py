@@ -390,7 +390,11 @@ def write_snapshot(
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     _check_time(tau)  # the reader's rules, so that what is written can be read
-    if step < 0:
+    try:
+        negative = SNAPSHOT_KEYS["step"](f"{step}") < 0  # the header line as the reader parses it
+    except ValueError:
+        raise ValueError(f"step must be an integer, got {step!r}") from None
+    if negative:
         raise ValueError(f"step must be >= 0, got {step}")
     values = np.asarray(values, dtype=np.float64)
     expected = grid.shape + (m,) * MODELS[model].axes
@@ -488,12 +492,12 @@ def snapshot_info(path: str | os.PathLike) -> dict:
 # trajectory driver
 
 
-def _finite_values(step: int, field: np.ndarray, grid: TorusGrid,
+def _finite_values(step: int, field: np.ndarray | None, grid: TorusGrid,
                    quantities: dict[str, Callable[[], float]]) -> list[float]:
     """Each quantity's value, computed in order and refused when it is not
-    finite: at step 0 from finite entries the field is too large for it, a
-    ConfigError naming the pointwise norm above which it overflows; otherwise
-    an InvariantViolation."""
+    finite: at step 0 from finite entries (`field` None: entries known to be
+    finite) the field is too large for it, a ConfigError naming the pointwise
+    norm above which it overflows; otherwise an InvariantViolation."""
     big = np.finfo(np.float64).max
     # the sup norm squares the pointwise norm, the standard potential squares
     # the Gram matrix, the modified energy squares spectra summed over n^d nodes
@@ -505,7 +509,7 @@ def _finite_values(step: int, field: np.ndarray, grid: TorusGrid,
         with np.errstate(over="ignore", invalid="ignore"):
             values.append(compute())
         if not math.isfinite(values[-1]):
-            if step == 0 and np.all(np.isfinite(field)):
+            if step == 0 and (field is None or np.all(np.isfinite(field))):
                 raise ConfigError(f"initial field too large: {name} overflows for a pointwise "
                                   f"norm above about {limits[name]:.4g}")
             raise InvariantViolation(f"non-finite {name} at step {step}")
@@ -545,7 +549,9 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
     flow, sup_fn, e_std_fn, e_mod_fn = MODELS[cfg.model].lookup(
         "flow", "sup", "energy_standard", "energy_modified")
     # one pipeline with strang_evolve_*; the monitors read each step's record,
-    # the sup norm and the standard energy sharing its Gram matrices
+    # the sup norm and the standard energy sharing its Gram matrices, and the
+    # field and u~_n are never held at once: the field's monitors and snapshot
+    # come first, and u~_n is made on the spectrum's buffer once the field is gone
     states = tensor._strang_states(grid, u, cfg.tau, flow)
     del u
 
@@ -556,16 +562,19 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
     rows: list[TraceRow] = []
     for n in range(cfg.steps + 1):
         state = next(states)
-        sup, e_std, e_mod = _finite_values(n, state.field, grid, {
+        sup, e_std = _finite_values(n, state.field, grid, {
             "sup_norm": lambda: sup_fn(state),
             "energy_standard": lambda: e_std_fn(grid, state),
-            "energy_modified": lambda: e_mod_fn(grid, state, cfg.tau),
         })
         if out_dir is not None and cfg.snapshot_every > 0 and (
             n % cfg.snapshot_every == 0 or n == cfg.steps
         ):
             write_snapshot(out_dir / f"snap_{n:06d}.snap", state.field, model=cfg.model,
                            grid=grid, m=cfg.m, tau=cfg.tau, step=n)
+        state.field = None  # freed: u~_n is then made on the spectrum's buffer
+        # the field had finite entries, or its sup norm would not be finite
+        (e_mod,) = _finite_values(n, None, grid, {
+            "energy_modified": lambda: e_mod_fn(grid, state, cfg.tau)})
         prev = rows[-1].energy_modified if rows else e_mod  # step 0 has no rise
         ok = e_mod <= prev + DISSIPATION_REL_TOL * abs(prev)
         rows.append(TraceRow(n, n * cfg.tau, e_std, e_mod, abs(e_mod - e_std), sup, ok))

@@ -104,16 +104,18 @@ def _kernel_gram(a: np.ndarray) -> np.ndarray:
 
 
 def _gram_function(
-    a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], gram: np.ndarray | None = None
+    a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], gram: np.ndarray | None = None,
+    overwrite: bool = False,
 ) -> np.ndarray:
-    """A fn(A^T A), with the scalar function fn acting on the Gram eigenvalues;
-    `gram` is _kernel_gram(a), made here if not given, which the call consumes."""
+    """A fn(A^T A), with the scalar function fn acting on the Gram eigenvalues,
+    written into `a` if `overwrite`; `gram` is _kernel_gram(a), made here if
+    not given, which the call consumes."""
     if gram is None:
         gram = _kernel_gram(a)
     if a.shape[-1] == 1:  # the 1 x 1 Gram matrix is its own eigenvalue
         factor = fn(gram[..., None, :])
         del gram  # before the product is made
-        return a * factor
+        return np.multiply(a, factor, out=a if overwrite else None)
     v = np.linalg.eigh(gram).eigenvectors
     del gram  # before A V is made
     av = a @ v
@@ -121,7 +123,7 @@ def _gram_function(
     # relative to each sigma_i rather than only to the largest, which keeps
     # the flow at large t as accurate as a singular value decomposition
     av *= fn(_column_norms_sq(av)[..., None, :])
-    return np.matmul(av, np.swapaxes(v, -1, -2), out=np.empty_like(a))
+    return np.matmul(av, np.swapaxes(v, -1, -2), out=a if overwrite else np.empty_like(a))
 
 
 def _parts(a: np.ndarray, k: int, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +181,11 @@ def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
 
 def nonlinear_propagate(a, t: float) -> np.ndarray:
     """S_N(t) A on the trailing m x q axes, or on a StepRecord's u~_n as m x q
-    matrices (its Gram, if made, the flow consumes).  It keeps the right
-    singular vectors (hence the rank) and fixes matrices with orthonormal columns."""
+    matrices (its Gram, if made, the flow consumes).  A record of u~_n alone
+    (StepRecord._flow_input's) lends the flow its buffer, which the q = 1 and
+    q >= 3 flows at t > 0 overwrite with their result; a plain array, or a
+    record that holds a field or a spectrum, is never written.  It keeps the
+    right singular vectors (hence the rank) and fixes matrices with orthonormal columns."""
     spectral._check_time(t, "t", zero_ok=True)
     state = a if isinstance(a, StepRecord) else None
     a = _checked(a) if state is None else state.u_tilde_matrices
@@ -188,9 +193,10 @@ def nonlinear_propagate(a, t: float) -> np.ndarray:
         return a.copy(order="K")  # skip the eigendecomposition's last-ulp noise
     if a.shape[-2:] == (2, 2):  # one matrix as a batch of one, as in g_scalar
         return _flow_2x2(a[None], t)[0] if a.ndim == 2 else _flow_2x2(a, t)
+    lent = state is not None and not vars(state).keys() & {"field", "spectrum"}
     # handed straight on, so that _gram_function holds the only reference
     return _gram_function(a, lambda lam: _flow_factor(lam, t),
-                          None if state is None else state._take("u_tilde_gram"))
+                          None if state is None else state._take("u_tilde_gram"), lent)
 
 
 def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> np.ndarray:
@@ -210,7 +216,9 @@ class StepRecord:
     made from what is known on first use and then kept, except that u~_n made
     once the field is known is made on the spectrum's buffer and consumes it,
     the standard energy consumes gram and the flow u~_n's Gram: a later read
-    makes them again.  A given field is never written.  The spectrum has its
+    makes them again.  A consumer done with the field sets it to None, which
+    frees it: u~_n is then made on the spectrum's buffer too, and neither is
+    made again.  A given field is never written.  The spectrum has its
     component axes slowest in memory (grid's Memory order), and so have u~_n
     and a field made from it; a given field keeps its own order.  The energy,
     potential, sup norm and flow functions take a record or a field; the
@@ -278,6 +286,7 @@ class StepRecord:
         u_tilde = self.u_tilde if "u_tilde" in vars(self) else self._consume_spectrum()
         if "u_tilde_matrices" not in vars(self):
             return u_tilde
+        # neither field nor spectrum: the flow may write into u~_n (nonlinear_propagate)
         known = {k: v for k, v in vars(self).items() if k in ("u_tilde_matrices", "u_tilde_gram")}
         return StepRecord(self.grid, self.tau, u_tilde=u_tilde, **known)
 
@@ -291,8 +300,8 @@ def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
     monitored step, 2 per bare one.  Between steps the generator holds only
     the current record, and during a step only u~_n, which the flow is handed
     as a record when the monitors made its checked matrices and Gram
-    (StepRecord._flow_input); the consumer should not keep a record past the
-    next step.
+    (StepRecord._flow_input), and then writes its result into; the consumer
+    should not keep a record past the next step.
 
     Memory order: u is kept as given, never copied.  Every half_spectrum has
     the component axes slowest in memory, and the inverse transforms, products
@@ -342,9 +351,10 @@ def potential(a, tau: float) -> np.ndarray:
         del s1
         return np.add(pot, g_scalar(np.multiply(s2, s2, out=s2), tau), out=pot)
     gram = _kernel_gram(a) if state is None else state.u_tilde_gram
-    # for q > 1 its eigenvalues, clipped at 0: round-off can make the smallest slightly negative
-    lam = gram if a.shape[-1] == 1 else np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    return np.sum(g_scalar(lam, tau), axis=-1)
+    if a.shape[-1] == 1:  # |a|^2 is the one eigenvalue: no sum over a length-1 axis
+        return g_scalar(gram[..., 0], tau)
+    # its eigenvalues, clipped at 0: round-off can make the smallest slightly negative
+    return np.sum(g_scalar(np.maximum(np.linalg.eigvalsh(gram), 0.0), tau), axis=-1)
 
 
 def gradient(a: np.ndarray, tau: float) -> np.ndarray:
@@ -412,8 +422,10 @@ def sup_norm(a) -> float:
     """Max over nodes of the pointwise Frobenius norm ||A(x)||_F of m x q
     matrices, or of a StepRecord's field: there the root of the largest trace
     of the record's Gram matrices, which the record keeps for standard_energy."""
-    if isinstance(a, StepRecord):
-        return float(np.sqrt(np.max(np.trace(a.gram, axis1=-2, axis2=-1))))
+    if isinstance(a, StepRecord):  # a 1 x 1 Gram is its own trace: no np.trace copy
+        gram = a.gram
+        diagonal = gram if gram.shape[-1] == 1 else np.trace(gram, axis1=-2, axis2=-1)
+        return float(np.sqrt(np.max(diagonal)))
     a = np.asarray(a)  # squares added plane by plane, as np.sum adds a pipeline field's
     total, square = np.zeros(a.shape[:-2]), np.empty(a.shape[:-2])
     for i, j in itertools.product(*map(range, a.shape[-2:])):
@@ -436,7 +448,9 @@ def smooth_random_ic(
         raise ValueError(f"kcut must be >= 0, got {kcut}")
     rng = np.random.Generator(np.random.Philox(seed))
     coeffs = spectral.half_spectrum(grid, rng.standard_normal(grid.shape + tuple(shape)))
-    u = spectral.half_inverse(grid, coeffs, grid.band_mask(kcut, coeffs.ndim))
+    # the coefficients are this call's own: band-limited and inverted in place
+    u = spectral._half_inverse_in_place(grid, coeffs, grid.band_mask(kcut, coeffs.ndim))
+    del coeffs
     sup = sup_norm(u.reshape(grid.shape + (shape[0], -1)))
     if sup == 0:
         return u

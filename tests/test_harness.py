@@ -13,7 +13,7 @@ import acsplit.matrix
 import acsplit.tensor
 import acsplit.vector
 from acsplit import cli, harness, verify
-from acsplit.grid import TorusGrid
+from acsplit.grid import TorusGrid, half_spectrum
 from acsplit.oracle import integrate_matrix_ode
 from acsplit.harness import (
     ConfigError,
@@ -350,6 +350,25 @@ def test_write_snapshot_refuses_a_negative_step(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("step, message", [
+    (1.5, "step must be an integer, got 1.5"),
+    (math.nan, "step must be an integer, got nan"),
+    (True, "step must be an integer, got True"),
+    (np.int64(-2), "step must be >= 0, got -2"),
+], ids=["fraction", "nan", "bool", "negative-numpy-int"])
+def test_write_snapshot_refuses_a_step_the_reader_refuses(tmp_path, step, message):
+    # the header line `step=...` must parse as the reader parses it, an integer
+    # >= 0: the writer refuses any other step before it opens the file
+    path = tmp_path / "bad.snap"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_snapshot(path, np.zeros((8, 2)), model="vector", grid=TorusGrid(1, 8), m=2, tau=0.1,
+                       step=step)
+    assert not path.exists()
+    write_snapshot(path, np.zeros((8, 2)), model="vector", grid=TorusGrid(1, 8), m=2, tau=0.1,
+                   step=np.int64(7))  # a numpy integer is written as the reader reads it
+    assert read_snapshot(path)[0]["step"] == 7
+
+
 def test_snapshot_info_stats(tmp_path):
     grid = TorusGrid(1, 8)
     u = smooth_random_ic(grid, 2, 0.9, seed=5)
@@ -577,18 +596,20 @@ def test_transforms_per_step(monkeypatch, case):
     # one forward real transform per step, and two inverse ones when
     # monitored (u_{n+1} and u~_{n+1}) or one when bare, plus one pair for
     # the initial field; the heat step, the complex transforms and the
-    # reference step are not used
+    # reference step are not used.  Transforms are counted in spectra's
+    # worth of lines, since a kept spectrum is inverted one row at a time
     cfg = RunConfig(**PIPELINE_CASES[case])
     grid = TorusGrid(cfg.d, cfg.n)
     u0 = build_initial(cfg, grid)
+    field_size, spectrum_size = u0.size, half_spectrum(grid, u0).size
     counts = {}
 
     def counted(name):
         real = getattr(np.fft, name)
 
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return real(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            counts[name] = counts.get(name, 0) + np.size(a)
+            return real(a, *args, **kwargs)
 
         return wrapper
 
@@ -603,11 +624,13 @@ def test_transforms_per_step(monkeypatch, case):
         monkeypatch.setattr(owner, name, tripwire)
 
     def tally():
-        # an inverse is the one call that yields the real field: irfftn, or
-        # irfft after d - 1 in-place complex ifft passes
-        inverses = counts.pop("irfftn", 0) + counts.pop("irfft", 0)
-        assert counts.pop("ifft", 0) == (cfg.d - 1) * inverses
-        return {"inverse": inverses, **counts}
+        # an inverse is what yields the real field: irfftn, or irfft after d - 1
+        # in-place complex ifft passes, over one spectrum's lines in all
+        inverses, rows = divmod(counts.pop("irfftn", 0) + counts.pop("irfft", 0), spectrum_size)
+        assert rows == 0 and counts.pop("ifft", 0) == (cfg.d - 1) * inverses * spectrum_size
+        forwards, rows = divmod(counts.pop("rfftn", 0), field_size)
+        assert rows == 0
+        return {"rfftn": forwards, "inverse": inverses, **counts}
 
     steps = cfg.steps
     run_experiment(cfg, u0)
@@ -674,16 +697,35 @@ def _monitored_run_peak(peak_field_sizes, cfg: RunConfig) -> float:
 
 
 def test_monitored_run_peak_memory(peak_field_sizes):
-    # the run holds u~_n, not the previous step's field or spectrum, makes u~_n
-    # in place on the spectrum it then drops, and the sup norm reads the field's
-    # Gram, a third of the field here: a step peaks at 3.66 field sizes, at the
-    # field's inverse transform (the spectrum, the transform's work buffer and
-    # the field, and the run's half-lattice arrays).  Making u~_n on a spectrum
-    # of its own reads 4.66, a second reference to the record's spectrum 4.60,
-    # and a squared copy of the field for the sup norm 3.93
+    # the run never holds the field and u~_n at once: it reads the field's
+    # monitors, writes its snapshot and drops it, and only then makes u~_n in
+    # place on the spectrum; the field's inverse runs one component row at a
+    # time, and the flow writes into u~_n.  A step peaks at 2.78 field sizes,
+    # alike at the field's inverse (the spectrum, one row's work buffer and
+    # the field), at the field's Gram and at the quadratic forms' pass, each
+    # beside the run's half-lattice arrays (|k|^2 and the half-heat symbol,
+    # 0.18 each).  With u~_n made while the field was held, a full copy for
+    # the field's inverse and a full-lattice _wr it read 3.66
     cfg = RunConfig(model="vector", d=3, n=32, m=3, tau=0.02, steps=4, ic="smooth", seed=1)
     peak = _monitored_run_peak(peak_field_sizes, cfg)
-    assert peak <= 3.85, peak
+    assert peak <= 1.01 * 2.779, peak
+
+
+@pytest.mark.parametrize("case", sorted(GRAM_CASES))
+def test_monitored_step_holds_no_field_when_u_tilde_is_made(monkeypatch, case):
+    # u~_n is made in place on the spectrum of a record whose field the run
+    # has dropped, once per step, and never while a field is held
+    cfg = RunConfig(**GRAM_CASES[case])
+    u0 = build_initial(cfg, TorusGrid(cfg.d, cfg.n))
+    real, seen = acsplit.tensor.StepRecord._consume_spectrum, []
+
+    def in_place(record):
+        seen.append(vars(record).get("field", "never made"))
+        return real(record)
+
+    monkeypatch.setattr(acsplit.tensor.StepRecord, "_consume_spectrum", in_place)
+    run_experiment(cfg, u0)
+    assert len(seen) == cfg.steps + 1 and all(field is None for field in seen), seen
 
 
 def test_monitored_2x2_run_peak_memory(peak_field_sizes):
@@ -691,25 +733,25 @@ def test_monitored_2x2_run_peak_memory(peak_field_sizes):
     # is made on the record's spectrum, so the step peaks where the field's
     # Gram matrices, one buffer that the sup norm reads and the standard
     # potential turns into (A^T A - I)^2 in place, sit beside the field and
-    # the spectrum: 3.96 field sizes.  The Gram and A^T A - I in two buffers
-    # read 4.96
+    # the spectrum: 3.83 field sizes.  With a full copy for the field's inverse
+    # it read 3.96, and the Gram and A^T A - I in two buffers 4.96
     cfg = RunConfig(model="matrix", d=2, n=64, m=2, tau=0.01, steps=4, ic="polar_star",
                     threshold_policy="enforce")
     peak = _monitored_run_peak(peak_field_sizes, cfg)
-    assert peak <= 1.01 * 3.960, peak
+    assert peak <= 1.01 * 3.835, peak
 
 
 def test_monitored_3x3_run_peak_memory(peak_field_sizes):
     # 3 x 3 matrices take the flow through the Gram eigenvectors (eigh), which
-    # scales A V in place and writes (A V) V^T into one output: the step peaks
-    # at 4.19 field sizes, in the flow (u~_n, V, A V and the output; u~_n's
-    # Gram goes right after eigh) and in the modified energy (the field, u~_n,
-    # its Gram and eigvalsh's output).  The standard potential's one Gram
-    # buffer reads 3.45, where two buffers read 4.44, and a flow that keeps
-    # the eigenvalues and makes a product buffer reads 5.85
+    # scales A V in place and writes (A V) V^T into u~_n, which the pipeline
+    # lends it: the step peaks at 4.13 field sizes, in the flow (u~_n, V and
+    # A V; u~_n's Gram goes right after eigh).  With the field held while
+    # u~_n was made and a separate output it read 4.19, and with two Gram
+    # buffers for the standard potential 4.44; a flow that keeps the
+    # eigenvalues and makes a product buffer read 5.85
     cfg = RunConfig(model="matrix", d=2, n=64, m=3, tau=0.01, steps=4, ic="smooth", seed=1)
     peak = _monitored_run_peak(peak_field_sizes, cfg)
-    assert peak <= 1.01 * 4.186, peak
+    assert peak <= 1.01 * 4.128, peak
 
 
 @pytest.mark.parametrize("model, m", [("vector", 3), ("matrix", 2), ("matrix", 3)])
@@ -776,18 +818,41 @@ def test_runs_leave_the_grid_phase_unbuilt(monkeypatch):
     assert np.array_equal(fresh._phase, (-1.0) ** np.sum(np.indices(fresh.shape), axis=0))
 
 
-def test_nonfinite_energy_after_step_0_is_an_invariant_violation(monkeypatch):
-    real = acsplit.vector.standard_energy_vec
+@pytest.mark.parametrize("name", ["energy_standard", "energy_modified"])
+def test_nonfinite_energy_after_step_0_is_an_invariant_violation(monkeypatch, tmp_path, name):
+    (real,) = harness.MODELS["vector"].lookup(name)
     calls = []
 
-    def energy(grid, u):
+    def energy(*args):
         calls.append(None)
-        return real(grid, u) if len(calls) == 1 else math.inf
+        return real(*args) if len(calls) == 1 else math.inf
 
-    monkeypatch.setattr(acsplit.vector, "standard_energy_vec", energy)
-    cfg = RunConfig(model="vector", d=1, n=8, m=2, tau=0.1, steps=2, ic="smooth")
-    with pytest.raises(InvariantViolation, match="energy_standard at step 1"):
+    monkeypatch.setattr(acsplit.vector, harness.MODELS["vector"].functions[name], energy)
+    cfg = RunConfig(model="vector", d=1, n=8, m=2, tau=0.1, steps=2, ic="smooth",
+                    out_dir=str(tmp_path), snapshot_every=1)
+    with pytest.raises(InvariantViolation, match=f"{name} at step 1"):
         run_experiment(cfg)
+    # the snapshot is written after the field's monitors and before the
+    # modified energy's: a step whose modified energy fails leaves its own
+    snapshots = sorted(p.name for p in tmp_path.iterdir())
+    assert snapshots == ["snap_000000.snap"] + ["snap_000001.snap"] * (name == "energy_modified")
+    assert np.all(np.isfinite(read_snapshot(tmp_path / snapshots[-1])[1]))
+
+
+def test_step_0_failures_are_judged_against_the_initial_field(monkeypatch):
+    # the modified energy runs after the run has dropped the field: at step 0
+    # it is judged against a finite field (a ConfigError naming it) ...
+    cfg = RunConfig(model="vector", d=1, n=8, m=2, tau=0.1, steps=2, ic="smooth")
+    with monkeypatch.context() as patch:
+        patch.setattr(acsplit.vector, "modified_energy_vec", lambda grid, u, tau: math.inf)
+        with pytest.raises(ConfigError, match="initial field too large: energy_modified overflows "
+                                              "for a pointwise norm above about 1.676e\\+153"):
+            run_experiment(cfg)
+    # ... and a NaN field is an InvariantViolation at step 0, caught by the sup norm
+    u = build_initial(cfg, TorusGrid(cfg.d, cfg.n))
+    u[3, 1] = math.nan
+    with pytest.raises(InvariantViolation, match="non-finite sup_norm at step 0"):
+        run_experiment(cfg, u)
 
 
 # ---------------------------------------------------------------------------

@@ -601,6 +601,34 @@ def test_sup_norm_of_a_record_is_that_of_its_field(shape):
     assert "gram" not in vars(record)
 
 
+def test_smooth_random_ic_peak_memory(peak_field_sizes):
+    # the band-limited coefficients are the call's own, so they are masked and
+    # inverted in place: 2.09 field sizes on 32^3 x 3 (the coefficients and
+    # the field), where an out-of-place inverse read 3.15
+    grid = TorusGrid(3, 32)
+    u = tensor.smooth_random_ic(grid, (3,), 0.8, seed=1)
+    peak = peak_field_sizes(lambda: tensor.smooth_random_ic(grid, (3,), 0.8, seed=1), u.nbytes)
+    assert peak <= 1.01 * 2.088, peak
+
+
+def test_a_flow_handed_the_pipelines_record_writes_into_u_tilde():
+    # the record StepRecord._flow_input makes holds u~_n alone, and the q = 1
+    # and q >= 3 flows write their result into its buffer: bitwise what they
+    # give on a copy of u~_n
+    grid, tau = TorusGrid(2, 16), 0.05
+    for shape, flow, potential in (((3,), vector.nonlinear_propagate_vec, vector.g_potential_vec),
+                                   ((3, 3), tensor.nonlinear_propagate, tensor.potential)):
+        u = tensor.smooth_random_ic(grid, shape, 0.9, seed=16)
+        record = tensor.StepRecord(grid, tau, field=u)
+        potential(record, tau)  # as the modified energy does: u~_n's checked matrices and Gram
+        want = flow(record.u_tilde.copy(order="K"), tau)
+        record.field = None  # as the run drops it
+        lent = record._flow_input()
+        u_tilde = lent.u_tilde
+        got = flow(lent, tau)
+        assert np.shares_memory(got, u_tilde) and np.array_equal(got, want)
+
+
 def test_bare_evolve_peak_memory_in_field_sizes(peak_field_sizes):
     # the bare pipeline never copies the caller's field: on a warm 64^2 x 2
     # grid it peaks at 3.80 field sizes (spectra, u~, flow temporaries); a
