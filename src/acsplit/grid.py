@@ -22,10 +22,9 @@ runs over contiguous planes.  The inverse transform, ufuncs, empty_like and
 einsum keep the order of their input, so a field made from such a spectrum
 has it too; this is also the snapshot files' order.  half_inverse makes the
 field one row of the first component axis at a time, in one work buffer of a
-row (a copy of the spectrum's row) on which the multiplier and every complex
-pass act in place, and each row's real pass writes that row of the field; at
-d = 1 there is no complex pass, and a bare spectrum goes to the real pass
-uncopied.
+row (a copy of the spectrum's row) on which every complex pass acts in place,
+and each row's real pass writes that row of the field; at d = 1 there is no
+complex pass, and the spectrum goes to the real pass uncopied.
 """
 
 from __future__ import annotations
@@ -190,33 +189,27 @@ def half_spectrum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(values, axes=grid.spatial_axes, out=out)
 
 
-def half_inverse(
-    grid: TorusGrid, spectrum: np.ndarray, multiplier: np.ndarray | None = None
-) -> np.ndarray:
-    """The real field whose half_spectrum is `spectrum`, or `spectrum * multiplier`;
-    `spectrum` is never written.  Made one row of the first component axis at a
-    time (see Memory order), each line transform as irfftn makes it."""
+def half_inverse(grid: TorusGrid, spectrum: np.ndarray) -> np.ndarray:
+    """The real field whose half_spectrum is `spectrum`, which is never written.
+    Made one row of the first component axis at a time (see Memory order),
+    each line transform as irfftn makes it."""
     d = grid.d
     field = _components_slowest(grid.shape, spectrum.shape[d:], np.float64)
-    if multiplier is not None:  # a view: each row reads its own part
-        multiplier = np.broadcast_to(multiplier, spectrum.shape)
-    work = None
-    for row in [(slice(None),) * d + i for i in np.ndindex(spectrum.shape[d:d + 1])]:
+    rows = [(slice(None),) * d + i for i in np.ndindex(spectrum.shape[d:d + 1])]
+    work = np.empty_like(spectrum[rows[0]]) if d > 1 else None  # else nothing writes a row
+    for row in rows:
         line = spectrum[row]
-        if multiplier is not None or d > 1:  # else nothing writes the row: it goes uncopied
-            if work is None:
-                work = np.empty_like(line)
+        if work is not None:
             np.copyto(work, line)
             line = work
-        _half_inverse_in_place(grid, line, None if multiplier is None else multiplier[row],
-                               out=field[row])
+        _half_inverse_in_place(grid, line, out=field[row])
     return field
 
 
 def _half_inverse_in_place(
     grid: TorusGrid, spectrum: np.ndarray, multiplier=None, out=None
 ) -> np.ndarray:
-    """half_inverse(grid, spectrum, multiplier), made on `spectrum`'s buffer,
+    """half_inverse(grid, spectrum * multiplier), made on `spectrum`'s buffer,
     overwriting it, and written into `out` if given."""
     if multiplier is not None:
         spectrum *= multiplier
@@ -226,8 +219,9 @@ def _half_inverse_in_place(
 
 
 def _check_time(t: float, name: str = "tau", zero_ok: bool = False, error=ValueError) -> None:
-    """The package's one rule, refusing with `error`: a time (zero_ok) is finite and
-    >= 0, a step finite and > 0 with a finite 1/tau (the modified energy divides by it)."""
+    """The package's one rule, refusing with `error`: a time (zero_ok), or an initial
+    condition's amplitude, is finite and >= 0, a step finite and > 0 with a finite
+    1/tau (the modified energy divides by it)."""
     t = float(t)  # a float's 1/t is inf where an np.float64's warns of overflow
     if not (0 <= t < np.inf if zero_ok else 0 < t < np.inf and 1.0 / t < np.inf):  # NaN fails
         raise error(f"{name} must be finite and {'>= 0' if zero_ok else '> 0 with a finite 1/tau'}"

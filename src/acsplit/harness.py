@@ -571,8 +571,8 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
         ):
             write_snapshot(out_dir / f"snap_{n:06d}.snap", state.field, model=cfg.model,
                            grid=grid, m=cfg.m, tau=cfg.tau, step=n)
-        state.field = None  # freed: u~_n is then made on the spectrum's buffer
-        # the field had finite entries, or its sup norm would not be finite
+        # u~_n, made on the spectrum's buffer, drops the field; the field had
+        # finite entries, or its sup norm would not be finite
         (e_mod,) = _finite_values(n, None, grid, {
             "energy_modified": lambda: e_mod_fn(grid, state, cfg.tau)})
         prev = rows[-1].energy_modified if rows else e_mod  # step 0 has no rise

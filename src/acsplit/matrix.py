@@ -60,8 +60,8 @@ def _tr_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def nonlinear_propagate_mat(a: np.ndarray, t: float) -> np.ndarray:
-    """Exact flow of U' = U - U U^T U, of matrices or a tensor.StepRecord's U~;
-    see tensor.nonlinear_propagate."""
+    """Exact flow of U' = U - U U^T U, of matrices or a tensor.StepRecord's U~
+    (written in place for m >= 3); see tensor.nonlinear_propagate."""
     return tensor.nonlinear_propagate(a, t)
 
 
@@ -225,6 +225,8 @@ def split_amplitude_mat_ic(
     dissipation monitor in step-size regimes the sufficient bound does not
     certify.  (Measured so far: the modified energy decreases even here.)
     """
+    _check_time(lo, "lo", zero_ok=True)
+    _check_time(hi, "hi", zero_ok=True)
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.standard_normal(grid.shape + (m, m))
     half = grid.n // 2

@@ -181,11 +181,10 @@ def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
 
 def nonlinear_propagate(a, t: float) -> np.ndarray:
     """S_N(t) A on the trailing m x q axes, or on a StepRecord's u~_n as m x q
-    matrices (its Gram, if made, the flow consumes).  A record of u~_n alone
-    (StepRecord._flow_input's) lends the flow its buffer, which the q = 1 and
-    q >= 3 flows at t > 0 overwrite with their result; a plain array, or a
-    record that holds a field or a spectrum, is never written.  It keeps the
-    right singular vectors (hence the rank) and fixes matrices with orthonormal columns."""
+    matrices, whose Gram (if made) the flow consumes and whose buffer the
+    q = 1 and q >= 3 flows at t > 0 overwrite with their result; a plain
+    array is never written.  It keeps the right singular vectors (hence the
+    rank) and fixes matrices with orthonormal columns."""
     spectral._check_time(t, "t", zero_ok=True)
     state = a if isinstance(a, StepRecord) else None
     a = _checked(a) if state is None else state.u_tilde_matrices
@@ -193,10 +192,10 @@ def nonlinear_propagate(a, t: float) -> np.ndarray:
         return a.copy(order="K")  # skip the eigendecomposition's last-ulp noise
     if a.shape[-2:] == (2, 2):  # one matrix as a batch of one, as in g_scalar
         return _flow_2x2(a[None], t)[0] if a.ndim == 2 else _flow_2x2(a, t)
-    lent = state is not None and not vars(state).keys() & {"field", "spectrum"}
     # handed straight on, so that _gram_function holds the only reference
     return _gram_function(a, lambda lam: _flow_factor(lam, t),
-                          None if state is None else state._take("u_tilde_gram"), lent)
+                          None if state is None else state._take("u_tilde_gram"),
+                          state is not None)
 
 
 def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> np.ndarray:
@@ -213,20 +212,19 @@ class StepRecord:
     where the modified energy lives, and two pointwise passes: the field's
     Gram matrices A^T A (gram), and u~_n as m x q matrices, refused once by
     _checked, with the Gram the kernels read of them (_kernel_gram).  Each is
-    made from what is known on first use and then kept, except that u~_n made
-    once the field is known is made on the spectrum's buffer and consumes it,
-    the standard energy consumes gram and the flow u~_n's Gram: a later read
-    makes them again.  A consumer done with the field sets it to None, which
-    frees it: u~_n is then made on the spectrum's buffer too, and neither is
-    made again.  A given field is never written.  The spectrum has its
-    component axes slowest in memory (grid's Memory order), and so have u~_n
-    and a field made from it; a given field keeps its own order.  The energy,
-    potential, sup norm and flow functions take a record or a field; the
-    energies first turn a field into a record."""
+    made on first use and kept, and the record is read forward, as the run
+    reads it: field, spectrum, u~_n, flow.  u~_n is made on the spectrum's
+    buffer, after which the record holds no spectrum and its field is None;
+    the standard energy consumes gram, and the flow u~_n's Gram and buffer.
+    A given field is never written.  The spectrum has its component axes
+    slowest in memory (grid's Memory order), and so have u~_n and a field
+    made from it; a given field keeps its own order.  The energy, potential,
+    sup norm and flow functions take a record or a field; the energies first
+    turn a field into a record."""
 
     def __init__(self, grid: TorusGrid, tau: float | None, **known):
         self.grid, self.tau = grid, tau
-        self.__dict__.update(known)  # field, spectrum or u_tilde, and a shared half_heat
+        self.__dict__.update(known)  # field or spectrum, and a shared half_heat
 
     @cached_property
     def half_heat(self) -> np.ndarray:
@@ -242,9 +240,11 @@ class StepRecord:
 
     @cached_property
     def u_tilde(self) -> np.ndarray:
-        if "field" not in vars(self):
-            return spectral.half_inverse(self.grid, self.spectrum, self.half_heat)
-        return self._consume_spectrum()
+        """u~_n, made on the spectrum's buffer once the field is dropped."""
+        half, spectrum = self.half_heat, self.spectrum
+        self.field = None
+        del self.spectrum
+        return spectral._half_inverse_in_place(self.grid, spectrum, half)
 
     @cached_property
     def quadratic_forms(self) -> list[float]:
@@ -272,24 +272,6 @@ class StepRecord:
         del self.__dict__[name]
         return value
 
-    def _consume_spectrum(self) -> np.ndarray:
-        """u~_n made on the spectrum's buffer, which the record then drops."""
-        half, spectrum = self.half_heat, self.spectrum
-        del self.spectrum
-        return spectral._half_inverse_in_place(self.grid, spectrum, half)
-
-    def _flow_input(self):
-        """What a flow reads of this state: u~_n alone, as a record that keeps
-        the checked matrices and the Gram a monitor made of it, or as the array
-        where none did (a bare step, to which a record would add only call
-        overhead).  u~_n not made yet is made on the spectrum's buffer."""
-        u_tilde = self.u_tilde if "u_tilde" in vars(self) else self._consume_spectrum()
-        if "u_tilde_matrices" not in vars(self):
-            return u_tilde
-        # neither field nor spectrum: the flow may write into u~_n (nonlinear_propagate)
-        known = {k: v for k, v in vars(self).items() if k in ("u_tilde_matrices", "u_tilde_gram")}
-        return StepRecord(self.grid, self.tau, u_tilde=u_tilde, **known)
-
 
 def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
     """The records of u_0 = u, u_1, ... along the splitting run with step tau.
@@ -298,10 +280,9 @@ def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
     inverse transforms of e^{-tau|k|^2/2} h and e^{-tau|k|^2} h, made when a
     consumer or the next step first asks for them: 3 transforms per
     monitored step, 2 per bare one.  Between steps the generator holds only
-    the current record, and during a step only u~_n, which the flow is handed
-    as a record when the monitors made its checked matrices and Gram
-    (StepRecord._flow_input), and then writes its result into; the consumer
-    should not keep a record past the next step.
+    the current record, and the flow is handed that record: it makes u~_n
+    on the spectrum's buffer, if no monitor did, and writes its result into
+    it.  The consumer should not keep a record past the next step.
 
     Memory order: u is kept as given, never copied.  Every half_spectrum has
     the component axes slowest in memory, and the inverse transforms, products
@@ -312,9 +293,8 @@ def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
     half = state.half_heat
     while True:
         yield state
-        w = state._flow_input()
-        state = None  # drops the field and the spectrum
-        w = flow(w, tau)  # drops u~_n
+        w = flow(state, tau)
+        state = None  # the record goes; w holds u~_n's buffer
         w = spectral.half_spectrum(grid, w)  # drops S_N(tau) u~_n
         w *= half
         state = StepRecord(grid, tau, spectrum=w, half_heat=half)
@@ -442,9 +422,8 @@ def smooth_random_ic(
     discrete heat kernel's small negative lobes, which rough data shows at
     small tau, out of stepwise sup-norm checks.
     """
-    if sup_target < 0:
-        raise ValueError("sup_target must be >= 0")
-    if kcut < 0:
+    spectral._check_time(sup_target, "sup_target", zero_ok=True)
+    if not kcut >= 0:  # NaN fails, inf is the whole band
         raise ValueError(f"kcut must be >= 0, got {kcut}")
     rng = np.random.Generator(np.random.Philox(seed))
     coeffs = spectral.half_spectrum(grid, rng.standard_normal(grid.shape + tuple(shape)))

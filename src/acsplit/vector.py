@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor
-from .grid import TorusGrid, heat_propagate  # noqa: F401  (still importable from here)
+from .grid import TorusGrid, _check_time, heat_propagate  # noqa: F401  (still importable from here)
 from .tensor import INEQUALITY_SLACK, g_scalar  # noqa: F401  (still importable from here)
 
 __all__ = [
@@ -43,7 +43,8 @@ def _columns(w):
 
 def nonlinear_propagate_vec(w: np.ndarray, t: float) -> np.ndarray:
     """Exact flow of u' = (1 - |u|^2) u on the last axis of `w`, or on a
-    tensor.StepRecord's u~; it preserves direction and fixes the unit sphere."""
+    tensor.StepRecord's u~, into whose buffer it writes; it preserves
+    direction and fixes the unit sphere."""
     return tensor.nonlinear_propagate(_columns(w), t)[..., 0]
 
 
@@ -110,8 +111,7 @@ def random_direction_ic(
     requested magnitude; a node whose raw draw is exactly zero stays zero.
     Deterministic per seed (counter-based generator).
     """
-    if magnitude < 0:
-        raise ValueError("magnitude must be >= 0")
+    _check_time(magnitude, "magnitude", zero_ok=True)
     rng = np.random.Generator(np.random.Philox(seed))
     raw = rng.standard_normal(grid.shape + (m,))
     norm = np.sqrt(np.sum(raw * raw, axis=-1, keepdims=True))
@@ -136,6 +136,7 @@ def smooth_deterministic_ic(
     (cos x sin y, sin x cos y).  The whole field is scaled so the sup of the
     pointwise magnitude equals `magnitude`.
     """
+    _check_time(magnitude, "magnitude", zero_ok=True)
     meshes = grid.meshes()
     comps = []
     for i in range(m):

@@ -11,6 +11,7 @@ from acsplit.grid import (
     heat_propagate,
     inverse_transform,
 )
+from acsplit.tensor import StepRecord
 
 
 def test_grid_validation():
@@ -170,16 +171,18 @@ def test_quadratic_forms_from_the_half_spectrum(d):
 @pytest.mark.parametrize("heat", [False, True], ids=["bare", "multiplier"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_half_inverse_is_irfftn_and_leaves_the_spectrum(d, heat):
+    # with the heat multiplier, the inverse is a record's u~_n at tau = 0.6,
+    # made in place on the record's own spectrum of the given field
     grid = TorusGrid(d, 8)
     u = np.random.Generator(np.random.Philox(d)).standard_normal(grid.shape + (3, 2))
-    spectrum = half_spectrum(grid, u)
+    spectrum, given = half_spectrum(grid, u), u.copy()
     kept = spectrum.copy()
     mult = grid.heat_multiplier(0.3, spectrum.ndim) if heat else None
     want = np.fft.irfftn(spectrum if mult is None else spectrum * mult, s=grid.shape,
                          axes=grid.spatial_axes)
-    got = half_inverse(grid, spectrum, mult)
+    got = StepRecord(grid, 0.6, field=u).u_tilde if heat else half_inverse(grid, spectrum)
     assert np.array_equal(got, want)
-    assert np.array_equal(spectrum, kept)
+    assert np.array_equal(spectrum, kept) and np.array_equal(u, given)
     assert min(got.strides[d:]) > max(got.strides[:d])  # components slowest
 
 
@@ -188,14 +191,16 @@ def test_half_inverse_is_irfftn_and_leaves_the_spectrum(d, heat):
 @pytest.mark.parametrize("d", [2, 3])
 def test_half_inverse_by_rows_is_irfftn(d, shape, heat):
     # each row of the first component axis is inverted on its own, and every
-    # line transform gives what irfftn gives on the whole spectrum
+    # line transform gives what irfftn gives on the whole spectrum; so does a
+    # record's u~_n (the heat multiplier at tau = 0.6), inverted whole in place
     grid = TorusGrid(d, 16)
     u = np.random.Generator(np.random.Philox(d)).standard_normal(grid.shape + shape)
     spectrum = half_spectrum(grid, u)
     mult = grid.heat_multiplier(0.3, spectrum.ndim) if heat else None
     want = np.fft.irfftn(spectrum if mult is None else spectrum * mult, s=grid.shape,
                          axes=grid.spatial_axes)
-    assert np.array_equal(half_inverse(grid, spectrum, mult), want)
+    got = StepRecord(grid, 0.6, spectrum=spectrum).u_tilde if heat else half_inverse(grid, spectrum)
+    assert np.array_equal(got, want)
 
 
 def test_half_inverse_peak_memory(peak_field_sizes):

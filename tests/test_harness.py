@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -712,20 +713,30 @@ def test_monitored_run_peak_memory(peak_field_sizes):
 
 
 @pytest.mark.parametrize("case", sorted(GRAM_CASES))
-def test_monitored_step_holds_no_field_when_u_tilde_is_made(monkeypatch, case):
-    # u~_n is made in place on the spectrum of a record whose field the run
-    # has dropped, once per step, and never while a field is held
-    cfg = RunConfig(**GRAM_CASES[case])
+def test_monitored_step_holds_no_field_when_u_tilde_is_made(monkeypatch, tmp_path, case):
+    # each step writes its snapshot before u~_n is made, once per step, and
+    # making u~_n on the spectrum's buffer leaves the record neither the
+    # field nor the spectrum
+    cfg = RunConfig(**GRAM_CASES[case], out_dir=str(tmp_path), snapshot_every=1)
     u0 = build_initial(cfg, TorusGrid(cfg.d, cfg.n))
-    real, seen = acsplit.tensor.StepRecord._consume_spectrum, []
+    real_snapshot, real_u_tilde, seen = harness.write_snapshot, acsplit.tensor.StepRecord.u_tilde, []
 
-    def in_place(record):
-        seen.append(vars(record).get("field", "never made"))
-        return real(record)
+    def snapshot(path, field, **kw):
+        seen.append(("snapshot", kw["step"]))
+        return real_snapshot(path, field, **kw)
 
-    monkeypatch.setattr(acsplit.tensor.StepRecord, "_consume_spectrum", in_place)
+    def u_tilde(record):
+        value = real_u_tilde.func(record)
+        seen.append(("u_tilde", vars(record)["field"], "spectrum" in vars(record)))
+        return value
+
+    made = functools.cached_property(u_tilde)
+    made.__set_name__(acsplit.tensor.StepRecord, "u_tilde")
+    monkeypatch.setattr(harness, "write_snapshot", snapshot)
+    monkeypatch.setattr(acsplit.tensor.StepRecord, "u_tilde", made)
     run_experiment(cfg, u0)
-    assert len(seen) == cfg.steps + 1 and all(field is None for field in seen), seen
+    want = [event for n in range(cfg.steps + 1) for event in (("snapshot", n), ("u_tilde", None, False))]
+    assert seen == want, seen
 
 
 def test_monitored_2x2_run_peak_memory(peak_field_sizes):
@@ -743,9 +754,9 @@ def test_monitored_2x2_run_peak_memory(peak_field_sizes):
 
 def test_monitored_3x3_run_peak_memory(peak_field_sizes):
     # 3 x 3 matrices take the flow through the Gram eigenvectors (eigh), which
-    # scales A V in place and writes (A V) V^T into u~_n, which the pipeline
-    # lends it: the step peaks at 4.13 field sizes, in the flow (u~_n, V and
-    # A V; u~_n's Gram goes right after eigh).  With the field held while
+    # scales A V in place and writes (A V) V^T into u~_n's buffer: the step
+    # peaks at 4.13 field sizes, in the flow (u~_n, V and A V; u~_n's Gram
+    # goes right after eigh).  With the field held while
     # u~_n was made and a separate output it read 4.19, and with two Gram
     # buffers for the standard potential 4.44; a flow that keeps the
     # eigenvalues and makes a product buffer read 5.85
