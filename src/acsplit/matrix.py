@@ -60,8 +60,8 @@ def _tr_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def nonlinear_propagate_mat(a: np.ndarray, t: float) -> np.ndarray:
-    """Exact flow of U' = U - U U^T U, of matrices or a tensor.StepRecord's U~
-    (written in place for m >= 3); see tensor.nonlinear_propagate."""
+    """Exact flow of U' = U - U U^T U, of matrices or a tensor.StepRecord's U~, taken with
+    its singular value factors (written in place for m >= 3); see tensor.nonlinear_propagate."""
     return tensor.nonlinear_propagate(a, t)
 
 
@@ -79,7 +79,7 @@ def strang_evolve_mat(
 
 def g_potential_mat(a: np.ndarray, tau: float) -> np.ndarray:
     """Trace potential sum_i G(sigma_i(A)^2), of matrices or a tensor.StepRecord's
-    U~; see tensor.potential."""
+    U~, from the singular value factors that the flow then takes; see tensor.potential."""
     return tensor.potential(a, tau)
 
 

@@ -8,11 +8,11 @@ acting entry-wise and S_N the exact pointwise flow
 
     S_N(t) A = e^t A (c A^T A + I)^{-1/2},   c = e^{2t} - 1,
 
-the push-through form of (c A A^T + I)^{-1/2} e^t A.  Where it can, the pointwise
-algebra is entrywise: for q = 1 the Gram matrix A^T A is the scalar |a|^2, and
-a 2 x 2 matrix has its singular values in closed form (_singular_values).  Other
-shapes go through the Gram eigenvectors V: A f(A^T A) = (A V) f(Lambda) V^T,
-with Lambda_i = sigma_i(A)^2.
+the push-through form of (c A A^T + I)^{-1/2} e^t A.  The flow and the trace
+potential read one factorization of A (_factors): for q = 1 the Gram matrix
+A^T A is the scalar |a|^2, a 2 x 2 matrix has its singular values in closed form
+(_singular_values), and other shapes go through the Gram eigenvectors V:
+A f(A^T A) = (A V) f(Lambda) V^T, with Lambda_i = sigma_i(A)^2 = |A V e_i|^2.
 """
 
 from __future__ import annotations
@@ -96,34 +96,30 @@ def _field_gram(a: np.ndarray) -> np.ndarray:
     return np.einsum("...ki,...kj->...ij", a, a)
 
 
-def _kernel_gram(a: np.ndarray) -> np.ndarray:
-    """What the flow and the potential read of A^T A: the squared column norm
-    (shape ... x 1) for q = 1, else A^T A.  The 2 x 2 closed forms read none:
-    they take the singular values (_singular_values)."""
-    return _column_norms_sq(a) if a.shape[-1] == 1 else _gram(a)
+def _eigen_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A V, V) of m x q matrices, V the eigenvectors of A^T A.  A V = U diag(sigma) gives
+    the squared singular values as its squared column norms: nonnegative, and accurate
+    relative to each sigma_i, which keeps the flow at large t as accurate as an SVD."""
+    v = np.linalg.eigh(_gram(a)).eigenvectors
+    return a @ v, v
 
 
-def _gram_function(
-    a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], gram: np.ndarray | None = None,
-    overwrite: bool = False,
-) -> np.ndarray:
-    """A fn(A^T A), with the scalar function fn acting on the Gram eigenvalues,
-    written into `a` if `overwrite`; `gram` is _kernel_gram(a), made here if
-    not given, which the call consumes."""
-    if gram is None:
-        gram = _kernel_gram(a)
-    if a.shape[-1] == 1:  # the 1 x 1 Gram matrix is its own eigenvalue
-        factor = fn(gram[..., None, :])
-        del gram  # before the product is made
-        return np.multiply(a, factor, out=a if overwrite else None)
-    v = np.linalg.eigh(gram).eigenvectors
-    del gram  # before A V is made
-    av = a @ v
-    # the eigenvalues as squared column norms of A V: nonnegative, and accurate
-    # relative to each sigma_i rather than only to the largest, which keeps
-    # the flow at large t as accurate as a singular value decomposition
+def _factors(a: np.ndarray):
+    """What the flow and the potential read of m x q matrices A: |a|^2 (shape ... x 1)
+    for q = 1, (Q, R, s1, s2) for 2 x 2 (_singular_values), else (A V, V) (_eigen_factors)."""
+    if a.shape[-1] == 1:
+        return _column_norms_sq(a)
+    return _singular_values(a) if a.shape[-2:] == (2, 2) else _eigen_factors(a)
+
+
+def _gram_function(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], factors=None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """A fn(A^T A) = (A V) fn(Lambda) V^T from the factors (A V, V), which the call
+    consumes, into `out` (a new array in A's memory order if None).  Without factors
+    it takes _eigen_factors(a) on any shape: the reference for the 2 x 2 closed form."""
+    av, v = _eigen_factors(a) if factors is None else factors
     av *= fn(_column_norms_sq(av)[..., None, :])
-    return np.matmul(av, np.swapaxes(v, -1, -2), out=a if overwrite else np.empty_like(a))
+    return np.matmul(av, np.swapaxes(v, -1, -2), out=np.empty_like(a) if out is None else out)
 
 
 def _parts(a: np.ndarray, k: int, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
@@ -154,13 +150,32 @@ def _singular_values(a: np.ndarray) -> tuple[np.ndarray, ...]:
     return q, r, s1, det
 
 
-def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
-    """S_N(t) A = alpha conf(A) + beta anti(A) on 2 x 2 matrices, alpha and beta being
-    the divided differences of the singular values' map s -> s f(s^2) at (s1, -s2)
-    and (s1, s2): alpha = f1 + 2 R p and beta = f1 - 2 Q p, p = k f1^2 (s2 f2) f2 / (f1 + f2),
-    f_i = _flow_factor(s_i^2, t), k = -expm1(-2t).  Nothing divides by Q or R, and no
-    factor of p exceeds 1/tiny, so nothing overflows."""
-    q, r, s1, s2 = _singular_values(a)
+def nonlinear_propagate(a, t: float) -> np.ndarray:
+    """S_N(t) A on the trailing m x q axes, or on a StepRecord's u~_n as m x q matrices,
+    which the flow at t > 0 takes with their factors (_factors), writing the q = 1 and
+    q >= 3 results into u~_n's buffer; a plain array is never written.  It is A f(A^T A),
+    f = _flow_factor(., t), and on 2 x 2 matrices alpha conf(A) + beta anti(A), alpha and
+    beta being the divided differences of s -> s f(s^2) at (s1, -s2) and (s1, s2):
+    alpha = f1 + 2 R p and beta = f1 - 2 Q p, p = k f1^2 (s2 f2) f2 / (f1 + f2), f_i = f(s_i^2),
+    k = -expm1(-2t).  Nothing divides by Q or R, and no factor of p exceeds 1/tiny, so
+    nothing overflows.  It keeps the right singular vectors (hence the rank) and fixes
+    matrices with orthonormal columns."""
+    spectral._check_time(t, "t", zero_ok=True)
+    state = a if isinstance(a, StepRecord) else None
+    a = _checked(a) if state is None else state.u_tilde_matrices
+    if t == 0:
+        return a.copy(order="K")  # skip the eigendecomposition's last-ulp noise
+    if a.ndim == 2:  # one matrix as a batch of one, as in g_scalar
+        return nonlinear_propagate(a[None], t)[0]
+    factors = _factors(a) if state is None else state._take(
+        "u_tilde_factors", "u_tilde_matrices", "u_tilde")
+    out = None if state is None else a
+    if a.shape[-1] == 1:  # the factor in place of |a|^2, which goes before the product
+        factors = _flow_factor(factors[..., None, :], t)
+        return np.multiply(a, factors, out=out)
+    if a.shape[-2:] != (2, 2):
+        return _gram_function(a, lambda lam: _flow_factor(lam, t), factors, out)
+    q, r, s1, s2 = factors
     f1, f2 = _flow_factor(s1 * s1, t), _flow_factor(s2 * s2, t)
     p = np.multiply(f1, -math.expm1(-2.0 * t))
     p *= f1
@@ -168,7 +183,7 @@ def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
     p *= np.divide(f2, np.add(f1, f2, out=s2), out=s2)
     alpha = np.add(f1, np.multiply(np.multiply(r, 2.0, out=r), p, out=r), out=r)
     beta = np.subtract(f1, np.multiply(np.multiply(q, 2.0, out=q), p, out=q), out=q)
-    del s1, s2, f1, f2  # each temporary is a quarter of the field: reuse or free it
+    del factors, s1, s2, f1, f2  # each temporary is a quarter of the field: reuse or free it
     out = np.empty_like(a)  # the parts are made last, in the output's planes
     e, h = _parts(a, 0, (out[..., 0, 0], out[..., 0, 1]))
     f, g = _parts(a, 1, (out[..., 1, 1], out[..., 1, 0]))
@@ -177,25 +192,6 @@ def _flow_2x2(a: np.ndarray, t: float) -> np.ndarray:
         np.add(np.multiply(cx, x, out=p), y, out=x)
         np.subtract(p, y, out=y)
     return out
-
-
-def nonlinear_propagate(a, t: float) -> np.ndarray:
-    """S_N(t) A on the trailing m x q axes, or on a StepRecord's u~_n as m x q
-    matrices, whose Gram (if made) the flow consumes and whose buffer the
-    q = 1 and q >= 3 flows at t > 0 overwrite with their result; a plain
-    array is never written.  It keeps the right singular vectors (hence the
-    rank) and fixes matrices with orthonormal columns."""
-    spectral._check_time(t, "t", zero_ok=True)
-    state = a if isinstance(a, StepRecord) else None
-    a = _checked(a) if state is None else state.u_tilde_matrices
-    if t == 0:
-        return a.copy(order="K")  # skip the eigendecomposition's last-ulp noise
-    if a.shape[-2:] == (2, 2):  # one matrix as a batch of one, as in g_scalar
-        return _flow_2x2(a[None], t)[0] if a.ndim == 2 else _flow_2x2(a, t)
-    # handed straight on, so that _gram_function holds the only reference
-    return _gram_function(a, lambda lam: _flow_factor(lam, t),
-                          None if state is None else state._take("u_tilde_gram"),
-                          state is not None)
 
 
 def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> np.ndarray:
@@ -211,16 +207,16 @@ class StepRecord:
     field, its half spectrum (grid.half_spectrum) and u~_n = S_L(tau/2) u_n,
     where the modified energy lives, and two pointwise passes: the field's
     Gram matrices A^T A (gram), and u~_n as m x q matrices, refused once by
-    _checked, with the Gram the kernels read of them (_kernel_gram).  Each is
+    _checked, with the factors the kernels read of them (_factors).  Each is
     made on first use and kept, and the record is read forward, as the run
     reads it: field, spectrum, u~_n, flow.  u~_n is made on the spectrum's
     buffer, after which the record holds no spectrum and its field is None;
-    the standard energy consumes gram, and the flow u~_n's Gram and buffer.
-    A given field is never written.  The spectrum has its component axes
-    slowest in memory (grid's Memory order), and so have u~_n and a field
-    made from it; a given field keeps its own order.  The energy, potential,
-    sup norm and flow functions take a record or a field; the energies first
-    turn a field into a record."""
+    the standard energy consumes gram, and the flow u~_n, its factors and its
+    buffer; a consumed member read again is refused.  A given field is never
+    written.  The spectrum has its component axes slowest in memory (grid's
+    Memory order), and so have u~_n and a field made from it; a given field
+    keeps its own order.  The energy, potential, sup norm and flow functions
+    take a record or a field; the energies first turn a field into a record."""
 
     def __init__(self, grid: TorusGrid, tau: float | None, **known):
         self.grid, self.tau = grid, tau
@@ -236,6 +232,9 @@ class StepRecord:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
+        if self.field is None:
+            raise ValueError("step record read out of its order: u~_n consumed its spectrum, "
+                             "and the flow consumes u~_n")
         return spectral.half_spectrum(self.grid, self.field)
 
     @cached_property
@@ -254,6 +253,8 @@ class StepRecord:
     @cached_property
     def gram(self) -> np.ndarray:
         """The field's Gram matrices A^T A, which sup_norm reads and standard_energy consumes."""
+        if self.field is None:
+            raise ValueError("step record read out of its order: u~_n consumed its field")
         return _field_gram(_matrices(self.grid, self.field))
 
     @cached_property
@@ -262,14 +263,15 @@ class StepRecord:
         return _checked(_matrices(self.grid, self.u_tilde))
 
     @cached_property
-    def u_tilde_gram(self) -> np.ndarray:
-        """_kernel_gram of u~_n, which the potential reads and the flow consumes."""
-        return _kernel_gram(self.u_tilde_matrices)
+    def u_tilde_factors(self):
+        """_factors of u~_n, which the potential reads and the flow takes."""
+        return _factors(self.u_tilde_matrices)
 
-    def _take(self, name: str):
-        """The member `name`, made if it is not known, which the record then drops."""
-        value = getattr(self, name)
-        del self.__dict__[name]
+    def _take(self, *names: str):
+        """The member names[0], made if not known, which the record then drops with the others."""
+        value = getattr(self, names[0])
+        for name in names:
+            del self.__dict__[name]
         return value
 
 
@@ -317,24 +319,21 @@ def strang_evolve(
 
 
 def potential(a, tau: float) -> np.ndarray:
-    """Trace potential sum_i G(lambda_i) over the eigenvalues of A^T A: the trace of
-    (1/(2 tau)) A A^T - (e^tau/(tau c)) ((I + c A A^T)^{1/2} - I), c = e^{2 tau} - 1,
-    on the trailing m x q axes or on a StepRecord's u~_n (whose Gram it reads).
+    """Trace potential sum_i G(sigma_i(A)^2): the trace of (1/(2 tau)) A A^T
+    - (e^tau/(tau c)) ((I + c A A^T)^{1/2} - I), c = e^{2 tau} - 1, on the trailing
+    m x q axes or on a StepRecord's u~_n, from the factors the flow reads (_factors).
     It is invariant under A -> Q A R for orthogonal Q, R."""
     state = a if isinstance(a, StepRecord) else None
     a = _checked(a) if state is None else state.u_tilde_matrices
-    if a.shape[-2:] == (2, 2):
-        if a.ndim == 2:
-            return potential(a[None], tau)[0]
-        s1, s2 = _singular_values(a)[2:]
-        pot = 0 + g_scalar(np.multiply(s1, s1, out=s1), tau)  # 0 + G(0) is 0.0, G(0) is -0.0
-        del s1
-        return np.add(pot, g_scalar(np.multiply(s2, s2, out=s2), tau), out=pot)
-    gram = _kernel_gram(a) if state is None else state.u_tilde_gram
-    if a.shape[-1] == 1:  # |a|^2 is the one eigenvalue: no sum over a length-1 axis
-        return g_scalar(gram[..., 0], tau)
-    # its eigenvalues, clipped at 0: round-off can make the smallest slightly negative
-    return np.sum(g_scalar(np.maximum(np.linalg.eigvalsh(gram), 0.0), tau), axis=-1)
+    if a.ndim == 2:  # one matrix as a batch of one, as in g_scalar
+        return potential(a[None], tau)[0]
+    factors = _factors(a) if state is None else state.u_tilde_factors
+    if a.shape[-1] == 1:  # |a|^2 is the one squared singular value: no sum over a length-1 axis
+        return g_scalar(factors[..., 0], tau)
+    if a.shape[-2:] == (2, 2):  # s1 and s2 squared out of place: the flow reads them next
+        pot = 0 + g_scalar(factors[2] * factors[2], tau)  # 0 + G(0) is 0.0, G(0) is -0.0
+        return np.add(pot, g_scalar(factors[3] * factors[3], tau), out=pot)
+    return np.sum(g_scalar(_column_norms_sq(factors[0]), tau), axis=-1)
 
 
 def gradient(a: np.ndarray, tau: float) -> np.ndarray:

@@ -669,18 +669,21 @@ GRAM_CASES = {**PIPELINE_CASES, "matrix3": dict(model="matrix", d=2, n=8, m=3, t
 def test_monitored_step_makes_each_gram_once(monkeypatch, case):
     # the sup norm and the standard potential share the field's Gram matrices
     # (the record's gram), and the modified potential and the next flow share
-    # u~_n's (its u_tilde_gram) behind one _checked; the 2 x 2 kernels take
-    # singular values instead, and a bare step makes no field Gram
+    # one factorization of u~_n (its u_tilde_factors) behind one _checked: the
+    # 2 x 2 singular values, or for q >= 3 one eigh of the Gram and no
+    # eigvalsh; a bare step makes no field Gram
     cfg = RunConfig(**GRAM_CASES[case])
     grid = TorusGrid(cfg.d, cfg.n)
     u0 = build_initial(cfg, grid)
-    names, counts = ("_field_gram", "_kernel_gram", "_checked"), {}
+    names, counts = ("_field_gram", "_factors", "_checked", "_singular_values", "eigh", "eigvalsh"), {}
     for name in names:
-        def counted(a, real=getattr(acsplit.tensor, name), name=name):
-            counts[name] = counts.get(name, 0) + 1
-            return real(a)
+        owner = np.linalg if name.startswith("eig") else acsplit.tensor
 
-        monkeypatch.setattr(acsplit.tensor, name, counted)
+        def counted(*args, real=getattr(owner, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
     closed_form = cfg.m == 2 and cfg.model == "matrix"
     for run, states, field_grams in ((lambda: run_experiment(cfg, u0), cfg.steps + 1, 1),
                                      (lambda: _monitors_and_evolve(cfg)[3](
@@ -688,7 +691,8 @@ def test_monitored_step_makes_each_gram_once(monkeypatch, case):
         counts.clear()
         run()
         assert counts == {name: n for name, n in zip(names, (
-            field_grams * states, 0 if closed_form else states, states)) if n}
+            field_grams * states, states, states, closed_form * states,
+            (cfg.model == "matrix" and not closed_form) * states, 0)) if n}
 
 
 def _monitored_run_peak(peak_field_sizes, cfg: RunConfig) -> float:
@@ -755,8 +759,9 @@ def test_monitored_2x2_run_peak_memory(peak_field_sizes):
 def test_monitored_3x3_run_peak_memory(peak_field_sizes):
     # 3 x 3 matrices take the flow through the Gram eigenvectors (eigh), which
     # scales A V in place and writes (A V) V^T into u~_n's buffer: the step
-    # peaks at 4.13 field sizes, in the flow (u~_n, V and A V; u~_n's Gram
-    # goes right after eigh).  With the field held while
+    # peaks at 4.13 field sizes, alike where the modified potential makes
+    # u~_n's factors and in the flow (u~_n, V and A V; u~_n's Gram goes
+    # right after eigh).  With the field held while
     # u~_n was made and a separate output it read 4.19, and with two Gram
     # buffers for the standard potential 4.44; a flow that keeps the
     # eigenvalues and makes a product buffer read 5.85

@@ -77,9 +77,10 @@ def test_kernels_match_svd_reference(m, q, kind, t):
         # -(e^t - 1)/(2t).  On rank-deficient A the SVD reference is itself
         # off from a 50-digit computation by about eps e^t sigma_1.  The Gram
         # eigenvectors put round-off of about eps sigma_1^2 / sigma_{q-1} into
-        # A V, and the Gram eigenvalues about eps ||A||_F^2; over 2 x 10^4
-        # draws per case the differences stayed under 6.3 and 0.8 of the
-        # units below, which the slack multiplies by 16 and 4.
+        # A V, whose squared column norms the potential reads; over 2 x 10^4
+        # draws per case the differences stayed under 6.3 and 0.1 of the
+        # units below (0.8 for the potential with the Gram's eigenvalues),
+        # which the slack multiplies by 16 and 4.
         s = np.linalg.svd(a, compute_uv=False)
         fro_sq = np.sum(a * a, axis=(-2, -1))
         flow_slack = 16 * EPS * math.exp(t) * s[:, 0] ** 2 / s[:, q - 2]
@@ -89,6 +90,20 @@ def test_kernels_match_svd_reference(m, q, kind, t):
     assert _worst_excess(tensor.gradient(a, t), _gradient_ref(a, t), flow_slack / t) <= 0
     pot = tensor.potential(a, t)[:, None]
     assert _worst_excess(pot, _potential_ref(a, t)[:, None], pot_slack) <= 0
+
+
+@pytest.mark.parametrize("s", [(3.0, 2.0, 0.0), (3.0, 0.0, 0.0), (3.0, 2.0, 1.0, 0.0)], ids=str)
+def test_potential_is_accurate_on_rank_deficient_matrices(s):
+    # U diag(s) V^T with a zero singular value, where G's slope in lambda is
+    # -(e^t - 1)/(2t): the squared column norms of A V are accurate relative to
+    # each sigma_i, while the Gram's eigenvalues, off by about eps ||A||_F^2,
+    # read 3e-12 to 5e-12 from the exact sum at t = 10
+    t, q = 10.0, len(s)
+    rng = np.random.Generator(np.random.Philox(110 + 10 * q + s.count(0.0)))
+    u, v = (np.linalg.qr(rng.standard_normal((2000, q, q)))[0] for _ in range(2))
+    a = (u * np.array(s)) @ np.swapaxes(v, -1, -2)
+    exact = np.sum(tensor.g_scalar(np.square(s), t))
+    assert np.max(np.abs(tensor.potential(a, t) - exact)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +236,11 @@ def test_2x2_kernel_at_the_ends_of_the_float_range(kind, t):
 
 def test_unbatched_inputs_run_as_a_batch_of_one():
     # the 2 x 2 kernels and g_scalar are in-place ufunc chains, and out= needs
-    # arrays where 0-d operands give scalars: one matrix, or one lam, runs as a
-    # batch of one and comes back with the type and bits it has in the batch
-    for a in ([[1.0, 2.0], [0.5, -1.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [0.5, 1.0]]):
+    # arrays where 0-d operands give scalars: one matrix of any shape, or one
+    # lam, runs as a batch of one and comes back with the type and bits it has
+    # in the batch
+    for a in ([[1.0, 2.0], [0.5, -1.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [0.5, 1.0]],
+              [[1.0], [2.0], [0.5]], [[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [0.0, 1.0, 1.0]]):
         a = np.array(a)
         for fn in (tensor.nonlinear_propagate, tensor.potential):
             one, batch = fn(a, 0.1), fn(a[None], 0.1)[0]
@@ -529,6 +546,33 @@ def test_pipeline_records_hold_field_spectrum_and_half_heat_state():
         assert np.max(np.abs(record.spectrum - np.fft.rfftn(field, axes=(0, 1)))) <= 1e-12
         assert np.max(np.abs(record.u_tilde - heat_propagate(grid, field, 0.5 * tau))) <= 1e-14
         assert record.field is None and "spectrum" not in vars(record)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3)], ids=str)
+def test_a_record_read_out_of_its_order_is_refused(shape):
+    # u~_n consumes the spectrum and the field, and the flow consumes u~_n: a
+    # consumed member read again is refused in one line that names it, not
+    # failed on something else or read from the flow's result
+    grid, tau = TorusGrid(2, 8), 0.05
+    u = tensor.smooth_random_ic(grid, shape, 0.9, seed=15)
+    consumed = "^step record read out of its order: u~_n consumed its {}"
+    record = tensor.StepRecord(grid, tau, field=u)
+    record.u_tilde
+    assert record.field is None
+    for read, member in ((lambda: record.spectrum, "spectrum"),
+                         (lambda: tensor.modified_energy(grid, record, tau, tensor.potential), "spectrum"),
+                         (lambda: tensor.sup_norm(record), "field"),
+                         (lambda: tensor.standard_energy(grid, record), "field")):
+        with pytest.raises(ValueError, match=consumed.format(member)) as refused:
+            read()
+        assert "\n" not in str(refused.value)
+    record = tensor.StepRecord(grid, tau, field=u)  # read as a monitored step reads it
+    tensor.modified_energy(grid, record, tau, tensor.potential)
+    tensor.nonlinear_propagate(record, tau)
+    for read in (lambda: tensor.potential(record, tau), lambda: record.u_tilde,
+                 lambda: tensor.modified_energy(grid, record, tau, tensor.potential)):
+        with pytest.raises(ValueError, match=consumed.format("spectrum, and the flow consumes u~_n$")):
+            read()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
