@@ -181,12 +181,15 @@ def _components_slowest(spatial: tuple[int, ...], trailing: tuple[int, ...], dty
 
 
 def half_spectrum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Unnormalized DFT sums of a real field on the half lattice k_last in
-    0..n/2 (numpy's rfftn over the spatial axes); the other half is their
+    """Unnormalized DFT sums of a real field on the half lattice k_last in 0..n/2
+    (numpy's rfftn over the spatial axes, pass by pass); the other half is their
     complex conjugate.  The trailing axes are slowest in memory (see Memory order)."""
     values = _check_field(grid, values)
     out = _components_slowest(grid._k2r.shape, values.shape[grid.d:], np.complex128)
-    return np.fft.rfftn(values, axes=grid.spatial_axes, out=out)
+    np.fft.rfft(values, axis=grid.d - 1, out=out)
+    for ax in reversed(grid.spatial_axes[:-1]):  # rfftn's complex passes, in place
+        np.fft.fft(out, axis=ax, out=out)
+    return out
 
 
 def half_inverse(grid: TorusGrid, spectrum: np.ndarray) -> np.ndarray:

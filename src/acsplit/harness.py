@@ -674,9 +674,11 @@ def convergence_study(
     del coarse
     w = grid.cell_volume
     errors = []
-    for t, steps in zip(taus, rung_steps):
+    for t, steps in zip(taus, rung_steps):  # one rung's field at a time, its error in place
         u = evolve(grid, u0, t, steps)
-        errors.append(float(np.sqrt(w * np.sum((u - ref) ** 2))))
+        u -= ref
+        errors.append(float(np.sqrt(w * np.sum(np.square(u, out=u)))))
+        del u
     # a fixed-point initial state gives zero error at every tau; the rate is
     # undefined there, not infinite
     rates = [

@@ -47,8 +47,8 @@ def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
 
         (lam/tau) (1/2 - 1 / (e^{-tau} + sqrt(e^{-2 tau} - expm1(-2 tau) lam)))
 
-    which has no subtractive cancellation for small tau or small lam, and
-    no overflow at large tau.
+    which does not overflow at large tau, but cancels at small tau, where 1/2 - 1/(...)
+    is O(tau): the absolute error is up to about eps lam / tau.
     """
     spectral._check_time(tau)
     lam = np.asarray(lam, dtype=np.float64)
@@ -60,10 +60,11 @@ def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
     return np.multiply(np.subtract(0.5, w, out=w), lam / tau, out=w)
 
 
-def _flow_factor(lam: np.ndarray, t: float) -> np.ndarray:
-    """e^t / sqrt(expm1(2t) lam + 1), the flow's factor on a squared singular
-    value, as 1 / sqrt(-expm1(-2t) lam + e^{-2t}) so that nothing overflows."""
-    return 1.0 / np.sqrt(-math.expm1(-2.0 * t) * lam + max(math.exp(-2.0 * t), _TINY))
+def _flow_factor(lam: np.ndarray, t: float, own: bool = False) -> np.ndarray:
+    """e^t / sqrt(expm1(2t) lam + 1), the flow's factor on a squared singular value, as
+    1 / sqrt(-expm1(-2t) lam + e^{-2t}) so that nothing overflows, in one buffer (lam's if own)."""
+    w = np.multiply(lam, -math.expm1(-2.0 * t), out=lam if own else np.empty_like(lam))
+    return np.divide(1.0, np.sqrt(np.add(w, max(math.exp(-2.0 * t), _TINY), out=w), out=w), out=w)
 
 
 def _checked(a) -> np.ndarray:
@@ -122,12 +123,12 @@ def _gram_function(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], factor
     return np.matmul(av, np.swapaxes(v, -1, -2), out=np.empty_like(a) if out is None else out)
 
 
-def _parts(a: np.ndarray, k: int, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
-    """(e, h) for k = 0 or (f, g) for k = 1, into `out`, of 2 x 2 matrices A = conformal
+def _parts(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e, h) for k = 0 or (f, g) for k = 1 of 2 x 2 matrices A = conformal
     part [[e, -h], [h, e]] + anticonformal part [[f, g], [g, -f]]."""
     p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    x = (np.subtract if k else np.add)(p, d, out=out[0])
-    y = (np.add if k else np.subtract)(c, b, out=out[1])
+    x = (np.subtract if k else np.add)(p, d)
+    y = (np.add if k else np.subtract)(c, b)
     return np.multiply(x, 0.5, out=x), np.multiply(y, 0.5, out=y)
 
 
@@ -152,8 +153,8 @@ def _singular_values(a: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def nonlinear_propagate(a, t: float) -> np.ndarray:
     """S_N(t) A on the trailing m x q axes, or on a StepRecord's u~_n as m x q matrices,
-    which the flow at t > 0 takes with their factors (_factors), writing the q = 1 and
-    q >= 3 results into u~_n's buffer; a plain array is never written.  It is A f(A^T A),
+    which the flow at t > 0 takes with their factors (_factors), writing its result into
+    u~_n's buffer; a plain array is never written.  It is A f(A^T A),
     f = _flow_factor(., t), and on 2 x 2 matrices alpha conf(A) + beta anti(A), alpha and
     beta being the divided differences of s -> s f(s^2) at (s1, -s2) and (s1, s2):
     alpha = f1 + 2 R p and beta = f1 - 2 Q p, p = k f1^2 (s2 f2) f2 / (f1 + f2), f_i = f(s_i^2),
@@ -170,13 +171,12 @@ def nonlinear_propagate(a, t: float) -> np.ndarray:
     factors = _factors(a) if state is None else state._take(
         "u_tilde_factors", "u_tilde_matrices", "u_tilde")
     out = None if state is None else a
-    if a.shape[-1] == 1:  # the factor in place of |a|^2, which goes before the product
-        factors = _flow_factor(factors[..., None, :], t)
-        return np.multiply(a, factors, out=out)
+    if a.shape[-1] == 1:  # the factor in place of |a|^2
+        return np.multiply(a, _flow_factor(factors[..., None, :], t, own=True), out=out)
     if a.shape[-2:] != (2, 2):
-        return _gram_function(a, lambda lam: _flow_factor(lam, t), factors, out)
+        return _gram_function(a, lambda lam: _flow_factor(lam, t, own=True), factors, out)
     q, r, s1, s2 = factors
-    f1, f2 = _flow_factor(s1 * s1, t), _flow_factor(s2 * s2, t)
+    f1, f2 = _flow_factor(s1 * s1, t, own=True), _flow_factor(s2 * s2, t, own=True)
     p = np.multiply(f1, -math.expm1(-2.0 * t))
     p *= f1
     p *= np.multiply(s2, f2, out=s2)
@@ -184,11 +184,14 @@ def nonlinear_propagate(a, t: float) -> np.ndarray:
     alpha = np.add(f1, np.multiply(np.multiply(r, 2.0, out=r), p, out=r), out=r)
     beta = np.subtract(f1, np.multiply(np.multiply(q, 2.0, out=q), p, out=q), out=q)
     del factors, s1, s2, f1, f2  # each temporary is a quarter of the field: reuse or free it
-    out = np.empty_like(a)  # the parts are made last, in the output's planes
-    e, h = _parts(a, 0, (out[..., 0, 0], out[..., 0, 1]))
-    f, g = _parts(a, 1, (out[..., 1, 1], out[..., 1, 0]))
-    for x, y, cx, cy in ((e, f, alpha, beta), (g, h, beta, alpha)):  # cx x +- cy y, in p
-        y *= cy
+    out = a.copy(order="K") if out is None else out  # a plain array is never written
+    # in place per pair of planes, p the scratch: butterflies x, y <- (x + y) / 2, (x - y) / 2
+    # make the parts (e, f) of (a00, a11) and (g, h) of (a10, a01), then x, y <- cx x +- cy y
+    for x, y, cx, cy in ((out[..., 0, 0], out[..., 1, 1], alpha, beta),
+                         (out[..., 1, 0], out[..., 0, 1], beta, alpha)):
+        np.subtract(x, y, out=p)
+        np.multiply(np.add(x, y, out=x), 0.5, out=x)
+        np.multiply(np.multiply(p, 0.5, out=y), cy, out=y)
         np.add(np.multiply(cx, x, out=p), y, out=x)
         np.subtract(p, y, out=y)
     return out
@@ -203,20 +206,20 @@ def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> n
 
 
 class StepRecord:
-    """A state u_n of a splitting run with step tau, as the run holds it: the
-    field, its half spectrum (grid.half_spectrum) and u~_n = S_L(tau/2) u_n,
-    where the modified energy lives, and two pointwise passes: the field's
-    Gram matrices A^T A (gram), and u~_n as m x q matrices, refused once by
-    _checked, with the factors the kernels read of them (_factors).  Each is
-    made on first use and kept, and the record is read forward, as the run
-    reads it: field, spectrum, u~_n, flow.  u~_n is made on the spectrum's
-    buffer, after which the record holds no spectrum and its field is None;
-    the standard energy consumes gram, and the flow u~_n, its factors and its
-    buffer; a consumed member read again is refused.  A given field is never
-    written.  The spectrum has its component axes slowest in memory (grid's
-    Memory order), and so have u~_n and a field made from it; a given field
-    keeps its own order.  The energy, potential, sup norm and flow functions
-    take a record or a field; the energies first turn a field into a record."""
+    """A state u_n of a splitting run with step tau, as the run holds it: the field, its
+    half spectrum (grid.half_spectrum) and u~_n = S_L(tau/2) u_n, where the modified
+    energy lives, and two pointwise passes: the field's Gram matrices A^T A (gram),
+    and u~_n as m x q matrices, refused once by _checked, with the factors the
+    kernels read of them (_factors).  Each is made on first use and kept, and the
+    record is read forward, as the run reads it: field, spectrum, u~_n, flow.  u~_n
+    is made on the spectrum's buffer and written into the field's if the record made
+    it, after which the record holds no spectrum and its field is None; the standard
+    energy consumes gram, and the flow u~_n, its factors and its buffer; a consumed
+    member read again is refused.  A given field is never written.  The spectrum has
+    its component axes slowest in memory (grid's Memory order), and so have u~_n and
+    a field made from it; a given field keeps its order.  The energy, potential, sup
+    norm and flow functions take a record or a field; the energies first turn a
+    field into a record."""
 
     def __init__(self, grid: TorusGrid, tau: float | None, **known):
         self.grid, self.tau = grid, tau
@@ -228,7 +231,8 @@ class StepRecord:
 
     @cached_property
     def field(self) -> np.ndarray:
-        return spectral.half_inverse(self.grid, self.spectrum)
+        self._made = spectral.half_inverse(self.grid, self.spectrum)
+        return self._made
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -239,11 +243,11 @@ class StepRecord:
 
     @cached_property
     def u_tilde(self) -> np.ndarray:
-        """u~_n, made on the spectrum's buffer once the field is dropped."""
-        half, spectrum = self.half_heat, self.spectrum
+        """u~_n, made on the spectrum's buffer, written into the field's if the record made it."""
+        half, spectrum, out = self.half_heat, self.spectrum, vars(self).pop("_made", None)
         self.field = None
         del self.spectrum
-        return spectral._half_inverse_in_place(self.grid, spectrum, half)
+        return spectral._half_inverse_in_place(self.grid, spectrum, half, out=out)
 
     @cached_property
     def quadratic_forms(self) -> list[float]:
@@ -390,7 +394,8 @@ def standard_energy(grid: TorusGrid, a) -> float:
     it turns into A^T A - I and then its squares in place."""
     state = _record(grid, a)
     dev = state._take("gram")
-    dev -= np.eye(dev.shape[-1])
+    for i in range(dev.shape[-1]):  # A^T A - I changes the diagonal planes only
+        dev[..., i, i] -= 1.0
     pot = 0.25 * grid.cell_volume * float(np.sum(np.multiply(dev, dev, out=dev)))
     del dev  # the Gram buffer goes before the spectral pass; a plain field has no pair
     quad = state.quadratic_forms if state.tau else [spectral.dirichlet_energy(grid, state.spectrum)]

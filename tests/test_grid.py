@@ -3,6 +3,7 @@ import pytest
 
 from acsplit.grid import (
     TorusGrid,
+    _components_slowest,
     dirichlet_energy,
     dissipation_quadratic,
     forward_transform,
@@ -166,6 +167,22 @@ def test_quadratic_forms_from_the_half_spectrum(d):
             dissipation_quadratic(grid, full, tau), rel=1e-13
         )
     assert dirichlet_energy(grid, half) == pytest.approx(dirichlet_energy(grid, full), rel=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=str)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_half_spectrum_is_rfftn(d, shape):
+    # the real pass and the d - 1 in-place complex passes, in rfftn's order,
+    # give rfftn's sums bitwise, from a field with its components fastest (C
+    # order) or slowest (a pipeline field), laid out components slowest
+    grid = TorusGrid(d, 8)
+    u = np.random.Generator(np.random.Philox(d)).standard_normal(grid.shape + shape)
+    slowest = _components_slowest(grid.shape, shape, np.float64)
+    slowest[...] = u
+    for given in (u, slowest):
+        got = half_spectrum(grid, given)
+        assert np.array_equal(got, np.fft.rfftn(given, axes=grid.spatial_axes))
+        assert min(got.strides[d:], default=np.inf) > max(got.strides[:d])
 
 
 @pytest.mark.parametrize("heat", [False, True], ids=["bare", "multiplier"])

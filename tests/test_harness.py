@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -596,9 +597,9 @@ def test_final_snapshot_is_bitwise_strang_evolve(tmp_path, case):
 def test_transforms_per_step(monkeypatch, case):
     # one forward real transform per step, and two inverse ones when
     # monitored (u_{n+1} and u~_{n+1}) or one when bare, plus one pair for
-    # the initial field; the heat step, the complex transforms and the
-    # reference step are not used.  Transforms are counted in spectra's
-    # worth of lines, since a kept spectrum is inverted one row at a time
+    # the initial field; the heat step, the full-lattice transforms and the
+    # reference step are not used.  Transforms are counted in lines, since a
+    # kept spectrum is inverted one row at a time
     cfg = RunConfig(**PIPELINE_CASES[case])
     grid = TorusGrid(cfg.d, cfg.n)
     u0 = build_initial(cfg, grid)
@@ -617,7 +618,7 @@ def test_transforms_per_step(monkeypatch, case):
     def tripwire(*args, **kwargs):
         raise AssertionError("not part of the pipeline")
 
-    for name in ("rfftn", "irfftn", "irfft", "ifft", "fftn", "ifftn"):
+    for name in ("rfft", "fft", "rfftn", "irfftn", "irfft", "ifft", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, counted(name))
     for owner, name in ((acsplit.grid, "heat_propagate"), (acsplit.grid, "forward_transform"),
                         (acsplit.tensor, "strang_step"), (acsplit.vector, "strang_step_vec"),
@@ -625,20 +626,22 @@ def test_transforms_per_step(monkeypatch, case):
         monkeypatch.setattr(owner, name, tripwire)
 
     def tally():
-        # an inverse is what yields the real field: irfftn, or irfft after d - 1
+        # a forward transform is rfft over one field's lines, then d - 1
+        # in-place complex fft passes over one spectrum's lines each; an
+        # inverse, which yields the real field, is irfftn, or irfft after d - 1
         # in-place complex ifft passes, over one spectrum's lines in all
+        forwards, rows = divmod(counts.pop("rfft", 0), field_size)
+        assert rows == 0 and counts.pop("fft", 0) == (cfg.d - 1) * forwards * spectrum_size
         inverses, rows = divmod(counts.pop("irfftn", 0) + counts.pop("irfft", 0), spectrum_size)
         assert rows == 0 and counts.pop("ifft", 0) == (cfg.d - 1) * inverses * spectrum_size
-        forwards, rows = divmod(counts.pop("rfftn", 0), field_size)
-        assert rows == 0
-        return {"rfftn": forwards, "inverse": inverses, **counts}
+        return {"forward": forwards, "inverse": inverses, **counts}
 
     steps = cfg.steps
     run_experiment(cfg, u0)
-    assert tally() == {"rfftn": steps + 1, "inverse": 2 * steps + 1}  # 3 per step
+    assert tally() == {"forward": steps + 1, "inverse": 2 * steps + 1}  # 3 per step
     counts.clear()
     _monitors_and_evolve(cfg)[3](grid, u0, cfg.tau, steps)
-    assert tally() == {"rfftn": steps + 1, "inverse": steps + 1}  # 2 per step
+    assert tally() == {"forward": steps + 1, "inverse": steps + 1}  # 2 per step
 
 
 @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
@@ -947,6 +950,34 @@ def test_convergence_ladder_validation():
         convergence_study(cfg, [0.1, 0.05], 0.13)
     with pytest.raises(ConfigError, match="finite and > 0"):
         convergence_study(cfg, [math.nan, 0.05], 0.2)
+
+
+def test_convergence_study_peak_memory(peak_field_sizes):
+    # the study holds u0, the reference and one running evolve: each rung's
+    # field goes before the next rung runs, and its error is taken in place.
+    # 5.13 field sizes on criterion 01's data with a shorter ladder than the
+    # benchmark's (which reads 5.14); with the previous rung kept through the
+    # next and the error summed through two temporaries, (u - ref) ** 2, it
+    # read 6.14 (6.15 on the benchmark's ladder)
+    cfg = RunConfig(model="vector", d=2, n=64, m=2, tau=1.0, steps=1,
+                    ic="smooth_deterministic", ic_params={"magnitude": 5.0})
+    u0 = build_initial(cfg, TorusGrid(cfg.d, cfg.n))
+    study = functools.partial(convergence_study, cfg, [1 / 400, 1 / 800, 1 / 1600], 0.01)
+    peak = peak_field_sizes(study, u0.nbytes)
+    assert peak <= 1.01 * 5.134, peak
+
+
+def test_convergence_rates_demo_runs(capsys):
+    # the demo runs convergence_study on both models: it exits cleanly, and
+    # every rate it prints is second order
+    demo = Path(__file__).resolve().parents[1] / "demos" / "convergence_rates.py"
+    try:
+        runpy.run_path(str(demo), run_name="__main__")
+    except SystemExit as stop:
+        assert stop.code in (None, 0)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    rates = [float(row[2]) for row in rows if len(row) == 3 and row[0][0].isdigit()]
+    assert len(rates) == 6 and all(1.8 <= rate <= 2.1 for rate in rates), rates
 
 
 # ---------------------------------------------------------------------------

@@ -533,10 +533,12 @@ def test_pipeline_records_hold_field_spectrum_and_half_heat_state():
     from acsplit.grid import heat_propagate
 
     # each record read forward, as the run reads it: field, spectrum, u~_n,
-    # then the flow (the next state); u~_n drops the field and the spectrum
+    # then the flow (the next state); u~_n drops the field and the spectrum,
+    # and is written into the field's buffer where the record made the field
+    # (n > 0), never into the caller's (n = 0)
     grid = TorusGrid(2, 16)
     u = tensor.smooth_random_ic(grid, (2, 1), 0.8, seed=10)
-    tau = 0.2
+    given, tau = u.copy(), 0.2
     states = tensor._strang_states(grid, u, tau, tensor.nonlinear_propagate)
     for n in range(3):
         record = next(states)
@@ -544,8 +546,11 @@ def test_pipeline_records_hold_field_spectrum_and_half_heat_state():
         assert field.shape == u.shape
         assert np.array_equal(field, tensor.strang_evolve(grid, u, tau, n, tensor.nonlinear_propagate))
         assert np.max(np.abs(record.spectrum - np.fft.rfftn(field, axes=(0, 1)))) <= 1e-12
-        assert np.max(np.abs(record.u_tilde - heat_propagate(grid, field, 0.5 * tau))) <= 1e-14
-        assert record.field is None and "spectrum" not in vars(record)
+        want = heat_propagate(grid, field, 0.5 * tau)
+        assert np.max(np.abs(record.u_tilde - want)) <= 1e-14
+        assert np.shares_memory(record.u_tilde, field) == (n > 0)
+        assert record.field is None and not {"spectrum", "_made"} & set(vars(record))
+    assert np.array_equal(u, given)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3)], ids=str)
@@ -690,12 +695,13 @@ def test_smooth_random_ic_peak_memory(peak_field_sizes):
 
 
 def test_a_flow_handed_the_pipelines_record_writes_into_u_tilde():
-    # the pipeline hands the flow each step's record, and the q = 1 and q >= 3
-    # flows write their result into u~_n's buffer, on a monitored step (the
-    # modified energy made u~_n's checked matrices and Gram) and on a bare
-    # one: bitwise what they give on a copy of u~_n
+    # the pipeline hands the flow each step's record, and every flow writes
+    # its result into u~_n's buffer, on a monitored step (the modified energy
+    # made u~_n's checked matrices and factors) and on a bare one: bitwise
+    # what it gives on a copy of u~_n
     grid, tau = TorusGrid(2, 16), 0.05
     for shape, flow, potential in (((3,), vector.nonlinear_propagate_vec, vector.g_potential_vec),
+                                   ((2, 2), tensor.nonlinear_propagate, tensor.potential),
                                    ((3, 3), tensor.nonlinear_propagate, tensor.potential)):
         seen = []
 
@@ -715,6 +721,19 @@ def test_a_flow_handed_the_pipelines_record_writes_into_u_tilde():
                 potential(record, tau)
         next(states)
         assert seen == [True] * 3
+
+
+@pytest.mark.parametrize("shape", LAYOUT_SHAPES, ids=str)
+def test_a_flow_never_writes_a_plain_array(shape):
+    # only a record's u~_n is the flow's to write: a plain array, one matrix
+    # or a field in either memory order, comes back as a new array
+    grid, flow = TorusGrid(2, 8), _flow_for(shape)
+    u = tensor.smooth_random_ic(grid, shape, 0.9, seed=17)
+    for a in (u, np.ascontiguousarray(u), u[0, 0]):
+        given = a.copy(order="K")
+        for t in (0.05, 0.0):
+            got = flow(a, t)
+            assert not np.shares_memory(got, a) and a.tobytes() == given.tobytes()
 
 
 def test_bare_evolve_peak_memory_in_field_sizes(peak_field_sizes):
