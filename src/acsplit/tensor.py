@@ -60,10 +60,10 @@ def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
     return np.multiply(np.subtract(0.5, w, out=w), lam / tau, out=w)
 
 
-def _flow_factor(lam: np.ndarray, t: float, own: bool = False) -> np.ndarray:
+def _flow_factor(lam: np.ndarray, t: float) -> np.ndarray:
     """e^t / sqrt(expm1(2t) lam + 1), the flow's factor on a squared singular value, as
-    1 / sqrt(-expm1(-2t) lam + e^{-2t}) so that nothing overflows, in one buffer (lam's if own)."""
-    w = np.multiply(lam, -math.expm1(-2.0 * t), out=lam if own else np.empty_like(lam))
+    1 / sqrt(-expm1(-2t) lam + e^{-2t}) so that nothing overflows, built in lam's buffer."""
+    w = np.multiply(lam, -math.expm1(-2.0 * t), out=lam)
     return np.divide(1.0, np.sqrt(np.add(w, max(math.exp(-2.0 * t), _TINY), out=w), out=w), out=w)
 
 
@@ -172,11 +172,11 @@ def nonlinear_propagate(a, t: float) -> np.ndarray:
         "u_tilde_factors", "u_tilde_matrices", "u_tilde")
     out = None if state is None else a
     if a.shape[-1] == 1:  # the factor in place of |a|^2
-        return np.multiply(a, _flow_factor(factors[..., None, :], t, own=True), out=out)
+        return np.multiply(a, _flow_factor(factors[..., None, :], t), out=out)
     if a.shape[-2:] != (2, 2):
-        return _gram_function(a, lambda lam: _flow_factor(lam, t, own=True), factors, out)
+        return _gram_function(a, lambda lam: _flow_factor(lam, t), factors, out)
     q, r, s1, s2 = factors
-    f1, f2 = _flow_factor(s1 * s1, t, own=True), _flow_factor(s2 * s2, t, own=True)
+    f1, f2 = _flow_factor(s1 * s1, t), _flow_factor(s2 * s2, t)
     p = np.multiply(f1, -math.expm1(-2.0 * t))
     p *= f1
     p *= np.multiply(s2, f2, out=s2)
@@ -284,11 +284,12 @@ def _strang_states(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable):
 
     A step transforms S_N(tau) u~_n once into h; u_{n+1} and u~_{n+1} are the
     inverse transforms of e^{-tau|k|^2/2} h and e^{-tau|k|^2} h, made when a
-    consumer or the next step first asks for them: 3 transforms per
-    monitored step, 2 per bare one.  Between steps the generator holds only
-    the current record, and the flow is handed that record: it makes u~_n
-    on the spectrum's buffer, if no monitor did, and writes its result into
-    it.  The consumer should not keep a record past the next step.
+    consumer or the next step first asks for them: 3 transforms per monitored
+    step, 2 per bare one.  Between steps the generator holds only the current
+    record, and the flow is handed that record: it makes u~_n on the
+    spectrum's buffer, if no monitor did, and writes its result into it.  A
+    consumer should not keep a record past the next step, nor a field the
+    record made past the reading of u~_n, which is written into its buffer.
 
     Memory order: u is kept as given, never copied.  Every half_spectrum has
     the component axes slowest in memory, and the inverse transforms, products
@@ -394,8 +395,7 @@ def standard_energy(grid: TorusGrid, a) -> float:
     it turns into A^T A - I and then its squares in place."""
     state = _record(grid, a)
     dev = state._take("gram")
-    for i in range(dev.shape[-1]):  # A^T A - I changes the diagonal planes only
-        dev[..., i, i] -= 1.0
+    dev -= np.eye(dev.shape[-1])
     pot = 0.25 * grid.cell_volume * float(np.sum(np.multiply(dev, dev, out=dev)))
     del dev  # the Gram buffer goes before the spectral pass; a plain field has no pair
     quad = state.quadratic_forms if state.tau else [spectral.dirichlet_energy(grid, state.spectrum)]

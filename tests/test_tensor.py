@@ -142,8 +142,8 @@ def test_closed_form_2x2_kernel_at_its_corners(kind, t, batched):
     if not batched:
         a, lam = a[7], lam[7]
 
-    def flow_factor(x):
-        return tensor._flow_factor(x, t)
+    def flow_factor(x):  # on a copy: the factor is built in its argument's buffer
+        return tensor._flow_factor(np.array(x, dtype=np.float64), t)
 
     slack = 0.0
     if kind == "rank-1":
@@ -375,7 +375,7 @@ def test_overflow_free_forms_match_the_direct_ones(tau):
     # which overflow beyond tau ~ 354, against the forms the kernel uses
     lam = np.concatenate([[0.0], np.logspace(-12, 5, 400)])
     factor = math.exp(tau) / np.sqrt(math.expm1(2 * tau) * lam + 1.0)
-    assert np.all(np.abs(tensor._flow_factor(lam, tau) - factor) <= 8 * EPS * factor)
+    assert np.all(np.abs(tensor._flow_factor(lam.copy(), tau) - factor) <= 8 * EPS * factor)
     x = math.exp(tau) / (1.0 + np.sqrt(1.0 + math.expm1(2 * tau) * lam))
     direct = (lam / tau) * (0.5 - x)
     assert np.all(np.abs(tensor.g_scalar(lam, tau) - direct) <= 8 * EPS * (lam / tau) * np.maximum(x, 0.5))
@@ -619,9 +619,9 @@ def test_pipeline_keeps_component_axes_slowest(grid, shape):
     first = next(states)
     assert first.field is u  # the caller's field, not a copy
     assert _components_slowest(first.spectrum, grid.d) and _components_slowest(first.u_tilde, grid.d)
-    record = next(states)
-    for a in (record.field, record.spectrum, record.u_tilde):
-        assert _components_slowest(a, grid.d)
+    record = next(states)  # its field is read before u~_n, which is written into it
+    assert _components_slowest(record.field, grid.d) and _components_slowest(record.spectrum, grid.d)
+    assert _components_slowest(record.u_tilde, grid.d)
     # the flow keeps the order (at t = 0 too, where it copies): handed the
     # record, it gives bitwise what it gives on a copy in the same layout; a
     # C-ordered copy sums the components in another order, so its flow is
