@@ -43,7 +43,7 @@ import numpy as np
 from . import matrix as mat
 from . import tensor
 from . import vector as vec
-from .grid import TorusGrid, _check_time, geometry_error
+from .grid import TorusGrid, _check_time, _components_slowest, geometry_error
 
 __all__ = [
     "ConfigError",
@@ -233,11 +233,19 @@ def load_convergence_config(path: str | os.PathLike) -> tuple[RunConfig, list[fl
 # ---------------------------------------------------------------------------
 # initial conditions
 
-# registry entries take (grid, m, seed) and their parameters by name
+def _filled(grid: TorusGrid, trailing: tuple[int, ...], value) -> np.ndarray:
+    """A field of shape grid.shape + trailing, components slowest, equal to `value` at every node."""
+    u = _components_slowest(grid.shape, trailing, np.float64)
+    u[...] = value
+    return u
+
+
+# registry entries take (grid, m, seed) and their parameters by name; each returns a
+# components-slowest field but the per-node draws, whose C order fixes their values
 def _shared_ics(axes: int, default_sup: Callable[[int], float]) -> dict[str, Callable]:
     """The entries both models have, on fields with `axes` component axes of size m."""
     return {
-        "zero": lambda grid, m, seed: np.zeros(grid.shape + (m,) * axes),
+        "zero": lambda grid, m, seed: _filled(grid, (m,) * axes, 0.0),
         "smooth": lambda grid, m, seed, sup=None, kcut=4: tensor.smooth_random_ic(
             grid, (m,) * axes, default_sup(m) if sup is None else sup, seed, kcut
         ),
@@ -256,9 +264,7 @@ VECTOR_ICS: dict[str, Callable] = {
 
 MATRIX_ICS: dict[str, Callable] = {
     **_shared_ics(2, math.sqrt),
-    "identity": lambda grid, m, seed: np.broadcast_to(
-        np.eye(m), grid.shape + (m, m)
-    ).copy(),
+    "identity": lambda grid, m, seed: _filled(grid, (m, m), np.eye(m)),
     "polar_star": lambda grid, m, seed: _polar_ic(grid, m, "star"),
     "polar_stripe": lambda grid, m, seed: _polar_ic(grid, m, "stripe"),
     "split_noise": lambda grid, m, seed, lo=0.05, hi=300.0: mat.split_amplitude_mat_ic(
@@ -549,7 +555,7 @@ def run_experiment(cfg: RunConfig, initial: np.ndarray | None = None) -> EnergyT
     flow, sup_fn, e_std_fn, e_mod_fn = MODELS[cfg.model].lookup(
         "flow", "sup", "energy_standard", "energy_modified")
     # one pipeline with strang_evolve_*; the monitors read each step's record,
-    # the sup norm and the standard energy sharing its Gram matrices, and the
+    # the sup norm and the standard energy sharing one pass over its field, and the
     # field and u~_n are never held at once: the field's monitors and snapshot
     # come first, and u~_n is made on the spectrum's buffer once the field is gone
     states = tensor._strang_states(grid, u, cfg.tau, flow)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor
-from .grid import TorusGrid, _check_time, heat_propagate
+from .grid import TorusGrid, _check_time, _components_slowest, heat_propagate
 from .tensor import INEQUALITY_SLACK
 
 __all__ = [
@@ -200,7 +200,7 @@ def polar_ic(grid: TorusGrid, variant: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown variant {variant!r}; expected 'star' or 'stripe'")
     ca, sa = np.cos(alpha), np.sin(alpha)
-    u = np.empty(grid.shape + (2, 2))
+    u = _components_slowest(grid.shape, (2, 2), np.float64)  # as the snapshot lays it out
     u[..., 0, 0] = ca
     u[..., 1, 0] = sa
     u[..., 0, 1] = np.where(rotation, -sa, sa)

@@ -50,14 +50,20 @@ def g_scalar(lam: np.ndarray, tau: float) -> np.ndarray:
     which does not overflow at large tau, but cancels at small tau, where 1/2 - 1/(...)
     is O(tau): the absolute error is up to about eps lam / tau.
     """
-    spectral._check_time(tau)
-    lam = np.asarray(lam, dtype=np.float64)
+    lam = np.array(lam, dtype=np.float64)  # the call's own buffer, which _g_in_place fills
     if lam.ndim == 0:  # out= needs arrays, and ufuncs give scalars on 0-d operands
         return g_scalar(lam[None], tau)[0]
-    w = np.multiply(lam, math.expm1(-2.0 * tau))  # the factored form, in one buffer
+    return _g_in_place(lam, tau)
+
+
+def _g_in_place(lam: np.ndarray, tau: float) -> np.ndarray:
+    """g_scalar(lam, tau) built in lam's buffer, as _flow_factor is: the caller gives lam up."""
+    spectral._check_time(tau)
+    w = np.multiply(lam, math.expm1(-2.0 * tau))  # the factored form, in one more buffer
     w = np.sqrt(np.subtract(math.exp(-2.0 * tau), w, out=w), out=w)
     w = np.divide(1.0, np.add(w, max(math.exp(-tau), _TINY), out=w), out=w)
-    return np.multiply(np.subtract(0.5, w, out=w), lam / tau, out=w)
+    lam /= tau
+    return np.multiply(lam, np.subtract(0.5, w, out=w), out=lam)
 
 
 def _flow_factor(lam: np.ndarray, t: float) -> np.ndarray:
@@ -90,11 +96,19 @@ def _column_norms_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", a, a)
 
 
-def _field_gram(a: np.ndarray) -> np.ndarray:
-    """A^T A of every m x q matrix of a field, in the field's memory order.
-    Not _gram: the standard potential has always summed this einsum's entries,
-    and a matmul Gram differs from it in the last bits."""
-    return np.einsum("...ki,...kj->...ij", a, a)
+def _field_pass(a: np.ndarray) -> tuple[float, float]:
+    """(max ||A||_F^2, sum ||A^T A - I||_F^2) over m x q matrices A in one plane buffer: the
+    squared norms, then each Gram plane (A^T A)_ij, i <= j, an einsum as the potential always
+    summed, an off-diagonal one counting twice (for q = 1 the squared norms are the plane)."""
+    plane = np.einsum("...ij,...ij->...", a, a)
+    largest, total = float(np.max(plane)), 0.0
+    for i, j in itertools.combinations_with_replacement(range(a.shape[-1]), 2):
+        if a.shape[-1] > 1:
+            np.einsum("...k,...k->...", a[..., i], a[..., j], out=plane)
+        if i == j:
+            plane -= 1.0
+        total += (1 if i == j else 2) * float(np.sum(np.square(plane, out=plane)))
+    return largest, total
 
 
 def _eigen_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,18 +222,18 @@ def strang_step(grid: TorusGrid, u: np.ndarray, tau: float, flow: Callable) -> n
 class StepRecord:
     """A state u_n of a splitting run with step tau, as the run holds it: the field, its
     half spectrum (grid.half_spectrum) and u~_n = S_L(tau/2) u_n, where the modified
-    energy lives, and two pointwise passes: the field's Gram matrices A^T A (gram),
-    and u~_n as m x q matrices, refused once by _checked, with the factors the
-    kernels read of them (_factors).  Each is made on first use and kept, and the
-    record is read forward, as the run reads it: field, spectrum, u~_n, flow.  u~_n
+    energy lives, and u~_n as m x q matrices, refused once by _checked, with the
+    factors the kernels read of them (_factors).  Each is made on first use and
+    kept, and the record is read forward, as the run reads it: field, spectrum, u~_n,
+    flow.  The sup norm and the standard potential share one pass over the field, one
+    plane at a time (field_sums), and the record keeps no Gram array.  u~_n
     is made on the spectrum's buffer and written into the field's if the record made
-    it, after which the record holds no spectrum and its field is None; the standard
-    energy consumes gram, and the flow u~_n, its factors and its buffer; a consumed
-    member read again is refused.  A given field is never written.  The spectrum has
-    its component axes slowest in memory (grid's Memory order), and so have u~_n and
-    a field made from it; a given field keeps its order.  The energy, potential, sup
-    norm and flow functions take a record or a field; the energies first turn a
-    field into a record."""
+    it, after which the record holds no spectrum and its field is None; the flow
+    consumes u~_n, its factors and its buffer; a consumed member read again is
+    refused.  A given field is never written.  The spectrum has its component axes
+    slowest in memory (grid's Memory order), and so have u~_n and a field made from
+    it; a given field keeps its order.  The energy, potential, sup norm and flow
+    functions take a record or a field; the energies first turn a field into a record."""
 
     def __init__(self, grid: TorusGrid, tau: float | None, **known):
         self.grid, self.tau = grid, tau
@@ -255,11 +269,11 @@ class StepRecord:
         return spectral._spectral_sums(self.grid, self.spectrum, *spectral._form_symbols(self.tau))
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """The field's Gram matrices A^T A, which sup_norm reads and standard_energy consumes."""
+    def field_sums(self) -> tuple[float, float]:
+        """The field's _field_pass, which sup_norm and standard_energy read."""
         if self.field is None:
             raise ValueError("step record read out of its order: u~_n consumed its field")
-        return _field_gram(_matrices(self.grid, self.field))
+        return _field_pass(_matrices(self.grid, self.field))
 
     @cached_property
     def u_tilde_matrices(self) -> np.ndarray:
@@ -336,9 +350,10 @@ def potential(a, tau: float) -> np.ndarray:
     if a.shape[-1] == 1:  # |a|^2 is the one squared singular value: no sum over a length-1 axis
         return g_scalar(factors[..., 0], tau)
     if a.shape[-2:] == (2, 2):  # s1 and s2 squared out of place: the flow reads them next
-        pot = 0 + g_scalar(factors[2] * factors[2], tau)  # 0 + G(0) is 0.0, G(0) is -0.0
-        return np.add(pot, g_scalar(factors[3] * factors[3], tau), out=pot)
-    return np.sum(g_scalar(_column_norms_sq(factors[0]), tau), axis=-1)
+        pot = _g_in_place(factors[2] * factors[2], tau)
+        pot += 0.0  # G(0) is -0.0, and G(0) + 0 is 0.0
+        return np.add(pot, _g_in_place(factors[3] * factors[3], tau), out=pot)
+    return np.sum(_g_in_place(_column_norms_sq(factors[0]), tau), axis=-1)
 
 
 def gradient(a: np.ndarray, tau: float) -> np.ndarray:
@@ -391,30 +406,20 @@ def modified_energy(grid: TorusGrid, a, tau: float, potential_fn: Callable) -> f
 
 def standard_energy(grid: TorusGrid, a) -> float:
     """Standard energy int (1/2)||grad A||_F^2 + (1/4)||A^T A - I||_F^2 dx, of a
-    field or a StepRecord, from the record's Gram matrices for every shape, which
-    it turns into A^T A - I and then its squares in place."""
+    field or a StepRecord, its potential summed one Gram plane at a time (_field_pass)."""
     state = _record(grid, a)
-    dev = state._take("gram")
-    dev -= np.eye(dev.shape[-1])
-    pot = 0.25 * grid.cell_volume * float(np.sum(np.multiply(dev, dev, out=dev)))
-    del dev  # the Gram buffer goes before the spectral pass; a plain field has no pair
+    pot = 0.25 * grid.cell_volume * state.field_sums[1]
     quad = state.quadratic_forms if state.tau else [spectral.dirichlet_energy(grid, state.spectrum)]
     return quad[0] + pot
 
 
 def sup_norm(a) -> float:
     """Max over nodes of the pointwise Frobenius norm ||A(x)||_F of m x q
-    matrices, or of a StepRecord's field: there the root of the largest trace
-    of the record's Gram matrices, which the record keeps for standard_energy."""
-    if isinstance(a, StepRecord):  # a 1 x 1 Gram is its own trace: no np.trace copy
-        gram = a.gram
-        diagonal = gram if gram.shape[-1] == 1 else np.trace(gram, axis1=-2, axis2=-1)
-        return float(np.sqrt(np.max(diagonal)))
-    a = np.asarray(a)  # squares added plane by plane, as np.sum adds a pipeline field's
-    total, square = np.zeros(a.shape[:-2]), np.empty(a.shape[:-2])
-    for i, j in itertools.product(*map(range, a.shape[-2:])):
-        total += np.multiply(a[..., i, j], a[..., i, j], out=square)
-    return float(np.sqrt(np.max(total)))
+    matrices, or of a StepRecord's field (its _field_pass), from one plane of squared
+    norms: on a field with its component axes slowest, each node's squares added in row order."""
+    if isinstance(a, StepRecord):
+        return math.sqrt(a.field_sums[0])
+    return math.sqrt(np.max(np.einsum("...ij,...ij->...", a, a)))
 
 
 def smooth_random_ic(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor
-from .grid import TorusGrid, _check_time, heat_propagate  # noqa: F401  (still importable from here)
+from .grid import TorusGrid, _check_time, _components_slowest, heat_propagate  # noqa: F401
 from .tensor import INEQUALITY_SLACK, g_scalar  # noqa: F401  (still importable from here)
 
 __all__ = [
@@ -138,13 +138,12 @@ def smooth_deterministic_ic(
     """
     _check_time(magnitude, "magnitude", zero_ok=True)
     meshes = grid.meshes()
-    comps = []
+    u = _components_slowest(grid.shape, (m,), np.float64)
     for i in range(m):
         c = np.ones(grid.shape)
         for a, xa in enumerate(meshes):
             c = c * (np.cos(xa) if (i + a) % 2 == 0 else np.sin(xa))
-        comps.append(c)
-    u = np.stack(comps, axis=-1)
+        u[..., i] = c
     sup = sup_magnitude(u)
     if sup == 0:
         return u

@@ -197,6 +197,20 @@ def test_polar_ic_requires_m2():
             build_initial(cfg, TorusGrid(d, 8))
 
 
+@pytest.mark.parametrize("model", sorted(harness.MODELS))
+def test_deterministic_ics_are_components_slowest(model):
+    # a deterministic builder returns its field laid out as the pipeline lays
+    # one out, component axes slowest, which a snapshot writes without a copy;
+    # the random draws keep C order, in which their draw order fixes their values
+    grid = TorusGrid(2, 8)
+    for ic in harness.MODELS[model].ics:
+        u = build_initial(RunConfig(model=model, d=2, n=8, m=2, tau=0.01, ic=ic, seed=1), grid)
+        slowest = min(u.strides[grid.d:]) > max(u.strides[:grid.d])
+        assert slowest == (ic not in ("random_direction", "split_noise")), (ic, u.strides)
+        if ic in ("zero", "identity"):
+            assert np.array_equal(u, np.broadcast_to(np.eye(2) if ic == "identity" else 0.0, u.shape))
+
+
 def test_config_keys_are_run_config_fields():
     # every RunConfig field but ic_params is a config key, read by its type
     cfg = build_run_config({"model": "vector", "d": "1", "n": "8", "m": "3", "tau": "1/8",
@@ -670,15 +684,16 @@ GRAM_CASES = {**PIPELINE_CASES, "matrix3": dict(model="matrix", d=2, n=8, m=3, t
 
 @pytest.mark.parametrize("case", sorted(GRAM_CASES))
 def test_monitored_step_makes_each_gram_once(monkeypatch, case):
-    # the sup norm and the standard potential share the field's Gram matrices
-    # (the record's gram), and the modified potential and the next flow share
-    # one factorization of u~_n (its u_tilde_factors) behind one _checked: the
-    # 2 x 2 singular values, or for q >= 3 one eigh of the Gram and no
-    # eigvalsh; a bare step makes no field Gram
+    # the sup norm and the standard potential share one pass over the field,
+    # one plane at a time (the record's field_sums, by _field_pass): one per
+    # monitored step and none per bare step; and the modified potential and
+    # the next flow share one factorization of u~_n (its u_tilde_factors)
+    # behind one _checked: the 2 x 2 singular values, or for q >= 3 one eigh
+    # of the Gram and no eigvalsh
     cfg = RunConfig(**GRAM_CASES[case])
     grid = TorusGrid(cfg.d, cfg.n)
     u0 = build_initial(cfg, grid)
-    names, counts = ("_field_gram", "_factors", "_checked", "_singular_values", "eigh", "eigvalsh"), {}
+    names, counts = ("_field_pass", "_factors", "_checked", "_singular_values", "eigh", "eigvalsh"), {}
     for name in names:
         owner = np.linalg if name.startswith("eig") else acsplit.tensor
 
@@ -688,13 +703,13 @@ def test_monitored_step_makes_each_gram_once(monkeypatch, case):
 
         monkeypatch.setattr(owner, name, counted)
     closed_form = cfg.m == 2 and cfg.model == "matrix"
-    for run, states, field_grams in ((lambda: run_experiment(cfg, u0), cfg.steps + 1, 1),
-                                     (lambda: _monitors_and_evolve(cfg)[3](
-                                         grid, u0, cfg.tau, cfg.steps), cfg.steps, 0)):
+    for run, states, field_passes in ((lambda: run_experiment(cfg, u0), cfg.steps + 1, 1),
+                                      (lambda: _monitors_and_evolve(cfg)[3](
+                                          grid, u0, cfg.tau, cfg.steps), cfg.steps, 0)):
         counts.clear()
         run()
         assert counts == {name: n for name, n in zip(names, (
-            field_grams * states, states, states, closed_form * states,
+            field_passes * states, states, states, closed_form * states,
             (cfg.model == "matrix" and not closed_form) * states, 0)) if n}
 
 
@@ -710,7 +725,8 @@ def test_monitored_run_peak_memory(peak_field_sizes):
     # place on the spectrum; the field's inverse runs one component row at a
     # time, and the flow writes into u~_n.  A step peaks at 2.78 field sizes,
     # alike at the field's inverse (the spectrum, one row's work buffer and
-    # the field), at the field's Gram and at the quadratic forms' pass, each
+    # the field), at the field pass's one plane (|u|^2, a third of the
+    # field; see StepRecord.field_sums) and at the quadratic forms' pass, each
     # beside the run's half-lattice arrays (|k|^2 and the half-heat symbol,
     # 0.18 each).  With u~_n made while the field was held, a full copy for
     # the field's inverse and a full-lattice _wr it read 3.66
@@ -747,30 +763,33 @@ def test_monitored_step_holds_no_field_when_u_tilde_is_made(monkeypatch, tmp_pat
 
 
 def test_monitored_2x2_run_peak_memory(peak_field_sizes):
-    # the 2 x 2 flow and potential reuse their quarter-field buffers and u~_n
-    # is made on the record's spectrum, so the step peaks where the field's
-    # Gram matrices, one buffer that the sup norm reads and the standard
-    # potential turns into (A^T A - I)^2 in place, sit beside the field and
-    # the spectrum: 3.83 field sizes.  With a full copy for the field's inverse
-    # it read 3.96, and the Gram and A^T A - I in two buffers 4.96
+    # the sup norm and the standard potential read the field one plane at a
+    # time and hold no Gram array, G is evaluated in the buffers of the squared
+    # singular values, and u~_n is made on the record's spectrum: the step
+    # peaks at 3.10 field sizes, alike where u~_n is made, in the modified
+    # potential and in the flow.  With the field's Gram matrices in one
+    # (..., 2, 2) buffer beside the field and the spectrum it read 3.83, with a
+    # full copy for the field's inverse 3.96, and with the Gram and A^T A - I in
+    # two buffers 4.96
     cfg = RunConfig(model="matrix", d=2, n=64, m=2, tau=0.01, steps=4, ic="polar_star",
                     threshold_policy="enforce")
     peak = _monitored_run_peak(peak_field_sizes, cfg)
-    assert peak <= 1.01 * 3.835, peak
+    assert peak <= 1.01 * 3.103, peak
 
 
 def test_monitored_3x3_run_peak_memory(peak_field_sizes):
     # 3 x 3 matrices take the flow through the Gram eigenvectors (eigh), which
     # scales A V in place and writes (A V) V^T into u~_n's buffer: the step
-    # peaks at 4.13 field sizes, alike where the modified potential makes
-    # u~_n's factors and in the flow (u~_n, V and A V; u~_n's Gram goes
-    # right after eigh).  With the field held while
-    # u~_n was made and a separate output it read 4.19, and with two Gram
-    # buffers for the standard potential 4.44; a flow that keeps the
-    # eigenvalues and makes a product buffer read 5.85
+    # peaks at 3.80 field sizes where the modified potential evaluates G on
+    # u~_n's factors (u~_n, A V and V, and the squared singular values, in
+    # whose buffer G is made beside one work buffer).  With a lam / tau
+    # temporary in G it read 4.13, with the field held while u~_n was made and
+    # a separate output 4.19, and with two Gram buffers for the standard
+    # potential 4.44; a flow that keeps the eigenvalues and makes a product
+    # buffer read 5.85
     cfg = RunConfig(model="matrix", d=2, n=64, m=3, tau=0.01, steps=4, ic="smooth", seed=1)
     peak = _monitored_run_peak(peak_field_sizes, cfg)
-    assert peak <= 1.01 * 4.128, peak
+    assert peak <= 1.01 * 3.795, peak
 
 
 @pytest.mark.parametrize("model, m", [("vector", 3), ("matrix", 2), ("matrix", 3)])

@@ -670,18 +670,38 @@ def test_sup_norm_of_a_record_is_that_of_its_field(shape):
     sup = vector.sup_magnitude if len(shape) == 1 else tensor.sup_norm
     u = tensor.smooth_random_ic(grid, shape, 0.9, seed=14)
     record = tensor.StepRecord(grid, 0.05, field=u)
-    # a record's sup norm sums each Gram diagonal, a field's adds its squares
-    # plane by plane: the same for one column, within 1 ulp for matrices
-    if len(shape) == 1 or shape[-1] == 1:
-        assert sup(record) == sup(record.field)
-    else:
-        assert abs(sup(record) - sup(record.field)) <= np.spacing(sup(record.field))
-    squares = np.sum(u.reshape(grid.shape + (-1,)) ** 2, axis=-1)
-    assert sup(record) == pytest.approx(math.sqrt(np.max(squares)), rel=4 * EPS, abs=0.0)
-    # the standard energy consumes the Gram the sup norm made, and gives what it
-    # gives on a record of its own
+    # a record's sup norm is its field's, and on a field with its component
+    # axes slowest it adds each node's squares in row order
+    assert sup(record) == sup(record.field)
+    a, total = u.reshape(grid.shape + (shape[0], -1)), np.zeros(grid.shape)
+    for i, j in np.ndindex(a.shape[-2:]):
+        total += a[..., i, j] ** 2
+    assert sup(record) == math.sqrt(np.max(total))
+    # the standard energy gives what it gives on a record of its own, and the
+    # record keeps no Gram array: its arrays are the field and its spectrum
     assert tensor.standard_energy(grid, record) == tensor.standard_energy(grid, u)
-    assert "gram" not in vars(record)
+    assert sorted(k for k, v in vars(record).items() if isinstance(v, np.ndarray)) == [
+        "field", "spectrum"]
+    assert record.field is u and sup(record) == sup(u)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3)], ids=str)
+def test_record_monitors_make_no_array_of_the_fields_shape(shape, peak_field_sizes):
+    # the sup norm and the standard energy of a record, its quadratic forms'
+    # pass included, read the field one plane at a time: beside the field and
+    # the spectrum they take less than 0.75 field sizes (0.28 for 2 x 2 and
+    # 0.13 for 3 x 3 on 64^2), so neither makes an array of the field's shape.
+    # With a (..., q, q) Gram array they read 1.52 and 1.23
+    grid = TorusGrid(2, 64)
+    u = tensor.smooth_random_ic(grid, shape, 0.9, seed=15)
+    spectrum = spectral.half_spectrum(grid, u)
+
+    def monitors():
+        record = tensor.StepRecord(grid, 0.01, field=u, spectrum=spectrum)
+        return tensor.sup_norm(record), tensor.standard_energy(grid, record)
+
+    peak = peak_field_sizes(monitors, u.nbytes)
+    assert peak < 0.75, peak
 
 
 def test_smooth_random_ic_peak_memory(peak_field_sizes):
